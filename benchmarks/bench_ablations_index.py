@@ -13,7 +13,7 @@ indexing/ranking effects are isolated from tagger quality):
   thresholds as future work).
 
 Plus the **index benchmark** (shared with ``repro bench-index``): scalar
-oracle vs vectorized backend, sharded lookup cells vs the dense legacy
+reference index vs the served index, shard-count cells vs the dense legacy
 combine, snapshot warm-start timing, and search availability during a
 background rebuild — recorded to ``BENCH_index.json``.
 """
@@ -120,8 +120,8 @@ def test_scalar_vs_vectorized_index(benchmark):
     Delegates to :mod:`repro.core.bench_index` (what ``repro bench-index``
     runs) so the pytest bench and the CLI produce the same
     ``BENCH_index.json`` record shape, then asserts the committed-record
-    bars: scalar→vectorized ≥5× with ≤1e-9 drift, sharded lookups
-    byte-identical to the single-shard oracle with shard8 ≥1.5× over the
+    bars: scalar→vectorized ≥5× with ≤1e-9 drift, every shard-count cell
+    byte-identical to the 1-shard index with shard8 ≥1.5× over the
     dense legacy combine, snapshot round-trip rankings identical, and
     search p99 during a background rebuild ≤3× idle.
     """

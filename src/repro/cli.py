@@ -4,8 +4,8 @@ Usage (after ``pip install -e .`` / ``python setup.py develop``)::
 
     python -m repro world generate --entities 60 --reviews 15 --out world.json
     python -m repro world show --path world.json
-    python -m repro index build --world world.json --out index.json
-    python -m repro search --world world.json --index index.json \
+    python -m repro index build --world world.json --out index/
+    python -m repro search --world world.json --index index/ \
         "delicious food" "nice staff"
     python -m repro datasets
 
@@ -68,7 +68,7 @@ def _cmd_world_show(args: argparse.Namespace) -> int:
 
 
 def _cmd_index_build(args: argparse.Namespace) -> int:
-    from repro.core import OracleExtractor, Saccs, SaccsConfig, SubjectiveTag, save_index
+    from repro.core import OracleExtractor, Saccs, SaccsConfig, SubjectiveTag, save_snapshot
     from repro.data import load_world
     from repro.text import ConceptualSimilarity, restaurant_lexicon
 
@@ -88,20 +88,24 @@ def _cmd_index_build(args: argparse.Namespace) -> int:
     if args.tags:
         tags = [SubjectiveTag.from_text(t) for t in args.tags]
     saccs.build_index(tags)
-    save_index(saccs.index, args.out)
+    save_snapshot(saccs.index, args.out)
     print(f"indexed {len(saccs.index)} tags over {len(world.entities)} entities -> {args.out}")
     return 0
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
-    from repro.core import SubjectiveTag, load_index
+    from repro.core import SnapshotError, SubjectiveTag, load_snapshot
     from repro.core.filtering import FilterConfig, filter_and_rank
     from repro.data import load_world
     from repro.text import ConceptualSimilarity, restaurant_lexicon
 
     world = load_world(args.world)
     similarity = ConceptualSimilarity(restaurant_lexicon())
-    index = load_index(args.index, similarity)
+    try:
+        index = load_snapshot(args.index, similarity)
+    except SnapshotError as exc:
+        print(f"cannot load index snapshot {args.index}: {exc}", file=sys.stderr)
+        return 1
     name_of = {e.entity_id: e.name for e in world.entities}
     tags = [SubjectiveTag.from_text(t) for t in args.tags]
     tag_sets = []
@@ -153,8 +157,6 @@ def _build_serving_saccs(args: argparse.Namespace):
             )
         )
     similarity = ConceptualSimilarity(restaurant_lexicon())
-    shards = getattr(args, "shards", 1)
-    lookup_workers = getattr(args, "lookup_workers", 0)
     saccs = Saccs(
         world.entities,
         world.reviews,
@@ -162,15 +164,14 @@ def _build_serving_saccs(args: argparse.Namespace):
         similarity,
         SaccsConfig(
             encoder_precision=getattr(args, "encoder_precision", "float64"),
-            index_shards=shards,
-            index_lookup_workers=lookup_workers,
+            index_shards=getattr(args, "shards", 1),
         ),
     )
     snapshot_dir = getattr(args, "snapshot_dir", None)
     if snapshot_dir:
         started = time.perf_counter()
         try:
-            index = load_snapshot(snapshot_dir, similarity, lookup_workers=lookup_workers)
+            index = load_snapshot(snapshot_dir, similarity)
         except SnapshotError as exc:
             print(f"snapshot unusable ({exc}); cold-building the index")
         else:
@@ -484,7 +485,6 @@ def _cmd_bench_index(args: argparse.Namespace) -> int:
         index_tags=args.index_tags,
         queries=args.queries,
         shard_counts=tuple(args.shards),
-        lookup_workers=args.lookup_workers,
         availability_samples=args.availability_samples,
         rebuild_rounds=args.rebuild_rounds,
         progress=print,
@@ -692,6 +692,17 @@ def _cmd_datasets(args: argparse.Namespace) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be ≥ 1 (a usage error otherwise)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's argument parser (exposed for testing)."""
     parser = argparse.ArgumentParser(prog="repro", description=__doc__.split("\n")[0])
@@ -716,7 +727,7 @@ def build_parser() -> argparse.ArgumentParser:
     index_sub = index.add_subparsers(dest="index_command", required=True)
     build = index_sub.add_parser("build", help="build a subjective tag index")
     build.add_argument("--world", required=True)
-    build.add_argument("--out", required=True)
+    build.add_argument("--out", required=True, help="snapshot directory to write")
     build.add_argument("--tags", nargs="*", help="tags to index (default: the 18 dimensions)")
     build.add_argument("--theta", type=float, default=0.70)
     build.add_argument("--theta-mode", choices=["static", "dynamic"], default="static")
@@ -725,7 +736,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     search = subparsers.add_parser("search", help="answer a subjective query")
     search.add_argument("--world", required=True)
-    search.add_argument("--index", required=True)
+    search.add_argument("--index", required=True, help="snapshot directory from `index build`")
     search.add_argument("--top-k", type=int, default=10)
     search.add_argument("--theta", type=float, default=0.60)
     search.add_argument("tags", nargs="+", help='subjective tags, e.g. "delicious food"')
@@ -745,16 +756,10 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--session-ttl", type=float, default=1800.0)
     serve.add_argument(
         "--shards",
-        type=int,
+        type=_positive_int,
         default=1,
-        help="entity shards for the tag index (stable sha256 routing; "
-        "lookups stay byte-identical to 1 shard)",
-    )
-    serve.add_argument(
-        "--lookup-workers",
-        type=int,
-        default=0,
-        help="threads fanning a lookup over the shards (0 = in-line)",
+        help="entity shard files a --snapshot-dir snapshot is written as "
+        "(stable sha256 routing; no effect on lookups)",
     )
     serve.add_argument(
         "--snapshot-dir",
@@ -935,10 +940,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench_index.add_argument("--index-tags", type=int, default=500)
     bench_index.add_argument("--queries", type=int, default=1000)
     bench_index.add_argument(
-        "--shards", type=int, nargs="+", default=[1, 4, 8], help="shard-count cells"
-    )
-    bench_index.add_argument(
-        "--lookup-workers", type=int, default=0, help="shard fan-out threads (0 = in-line)"
+        "--shards", type=_positive_int, nargs="+", default=[1, 4, 8], help="shard-count cells"
     )
     bench_index.add_argument(
         "--availability-samples",

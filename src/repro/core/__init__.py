@@ -28,7 +28,6 @@ from repro.core.extractor import (
 )
 from repro.core.filtering import FilterConfig, aggregate_scores, filter_and_rank
 from repro.core.fraud import FakeReviewFilter, FraudFilterConfig
-from repro.core.index_io import load_index, save_index
 from repro.core.profiles import UserProfile, personalized_rank
 from repro.core.heuristics import (
     AttentionPairingHeuristic,
@@ -36,8 +35,7 @@ from repro.core.heuristics import (
     TreePairingHeuristic,
     WordDistanceHeuristic,
 )
-from repro.core.index import IndexEntry, SubjectiveTagIndex
-from repro.core.shards import ShardedTagIndex, shard_of
+from repro.core.index import IndexEntry, ReferenceTagIndex, SubjectiveTagIndex
 from repro.core.snapshot import (
     SnapshotError,
     SnapshotIntegrityError,
@@ -45,6 +43,7 @@ from repro.core.snapshot import (
     SnapshotVersionError,
     load_snapshot,
     save_snapshot,
+    shard_of,
 )
 from repro.core.pairing import (
     PairingClassifier,
@@ -99,12 +98,12 @@ __all__ = [
     "SimBaseline",
     "SpanF1",
     "SubjectiveTag",
-    "ShardedTagIndex",
     "SnapshotError",
     "SnapshotIntegrityError",
     "SnapshotNotFound",
     "SnapshotVersionError",
     "SubjectiveTagIndex",
+    "ReferenceTagIndex",
     "TagExtractor",
     "TaggerTrainer",
     "TaggerTrainingConfig",
@@ -119,9 +118,7 @@ __all__ = [
     "filter_and_rank",
     "heuristic_labeling_function",
     "instances_from_examples",
-    "load_index",
     "personalized_rank",
-    "save_index",
     "save_snapshot",
     "load_snapshot",
     "shard_of",

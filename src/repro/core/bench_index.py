@@ -3,16 +3,17 @@
 Four sections over one seeded synthetic workload, recorded to
 ``BENCH_index.json`` and guarded by ``benchmarks/check_bench.py``:
 
-* **backend** — the scalar per-pair oracle vs the vectorized matrix kernel
-  on index build + ``lookup_similar`` throughput (the PR-2 cells, kept so
-  the committed record stays shape-compatible);
-* **shards** — the sharded index at 1/4/8 entity shards against the dense
-  legacy combine (fresh similarity row + full ``weights @ degree_matrix``
-  gemv per query, the pre-shard serving path).  The sharded cells win on
-  the active-tag accumulation kernel plus the wrapper's score-row cache;
-  every sharded result is checked byte-identical to the single-index
-  oracle before any speedup is reported.  ``check_bench`` floors the
-  ``shard8`` cell at 1.5×;
+* **backend** — the scalar per-pair :class:`ReferenceTagIndex` vs the
+  served :class:`SubjectiveTagIndex` on index build + ``lookup_similar``
+  throughput;
+* **shards** — the index built with 1/4/8 snapshot shards against the
+  dense legacy combine (a precomputed (index_tags × vocab) similarity
+  matrix or a fresh row, then a full ``weights @ degree_matrix`` gemv per
+  query — the old serving path).  The shard count only lays out snapshot
+  files, so every cell times the same kernel: the active-tag accumulation
+  plus the score-row cache.  Every cell's result is checked byte-identical
+  to the 1-shard index before any speedup is reported.  ``check_bench``
+  floors the ``shard8`` cell at 1.5×;
 * **snapshot** — ``save_snapshot`` / ``load_snapshot`` round-trip timing
   against the cold register+build path, with a ranking-identity witness
   (the ``repro serve --snapshot-dir`` warm-start win);
@@ -34,8 +35,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.index import SubjectiveTagIndex
-from repro.core.shards import ShardedTagIndex
+from repro.core.index import ReferenceTagIndex, SubjectiveTagIndex
 from repro.core.snapshot import load_snapshot, save_snapshot
 from repro.core.tags import SubjectiveTag
 from repro.text import ConceptualSimilarity, restaurant_lexicon
@@ -62,7 +62,7 @@ def build_index_workload(
 
     Queries alternate between known index tags and unseen variants drawn
     from a bounded pool (``distinct_variants``, default ``queries // 10``):
-    real query streams repeat, which is what the wrapper's score-row cache
+    real query streams repeat, which is what the index's score-row cache
     exists for.
     """
     rng = np.random.default_rng(seed)
@@ -120,25 +120,25 @@ def _time_lookups(index, queries, theta_filter) -> Tuple[List[Dict[str, float]],
 def _dense_legacy_lookups(
     index: SubjectiveTagIndex, queries, theta_filter
 ) -> Tuple[List[Dict[str, float]], float]:
-    """The pre-shard serving path, re-timed on today's index state.
+    """The old serving path, re-timed on today's index state.
 
-    Per query: the similarity row (cached matrix column when the tag is
-    interned, one fresh kernel call otherwise — no cross-query row reuse)
-    followed by the dense ``weights @ degree_matrix`` combine over every
-    index tag, active or not.
+    Before the timed loop it computes the (index_tags × vocab) similarity
+    matrix that path kept.  Per query: the similarity row (a matrix column
+    when the tag is interned, one fresh kernel call otherwise — no
+    cross-query row reuse) followed by the dense
+    ``weights @ degree_matrix`` combine over every index tag, active or not.
     """
     index._ensure_occ()
-    index._ensure_matrix()
-    index._sync_sim_cols()
     degree_matrix = index._degree_matrix()
-    index_tags = list(index._entries)
-    entity_order = index._entity_order
+    index_tags = index.tags
+    sim_matrix = index.vocab.similarity_rows(index_tags)
+    entity_order = index.entity_order
     results: List[Dict[str, float]] = []
     start = time.perf_counter()
     for tag in queries:
         tag_id = index.vocab.id_of(tag)
-        if tag_id is not None and tag_id < index._sim_cols:
-            scores = index._sim_matrix()[:, tag_id]
+        if tag_id is not None:
+            scores = sim_matrix[:, tag_id]
         else:
             scores = index.similarity.tag_similarity_matrix([tag], index_tags)[0]
         weights = np.where(scores > theta_filter, scores, 0.0)
@@ -154,19 +154,15 @@ def _dense_legacy_lookups(
 
 
 def _backend_section(sizes, corpus, tags, queries, theta_filter, progress: Progress):
-    """Scalar oracle vs vectorized kernel (the historical record cells)."""
+    """Scalar reference vs the served index (the historical record cells)."""
     _say(progress, "backend: timing the vectorized kernel")
-    vec_index = SubjectiveTagIndex(
-        ConceptualSimilarity(restaurant_lexicon()), backend="vectorized"
-    )
+    vec_index = SubjectiveTagIndex(ConceptualSimilarity(restaurant_lexicon()))
     vec_build = _build(vec_index, corpus, tags)
     vec_lookups, vec_lookup = _time_lookups(vec_index, queries, theta_filter)
-    _say(progress, "backend: timing the scalar oracle (capped query slice)")
+    _say(progress, "backend: timing the scalar reference (capped query slice)")
     scalar_queries = queries[: max(1, len(queries) // 4)]
     scale = len(queries) / len(scalar_queries)
-    sca_index = SubjectiveTagIndex(
-        ConceptualSimilarity(restaurant_lexicon()), backend="scalar"
-    )
+    sca_index = ReferenceTagIndex(ConceptualSimilarity(restaurant_lexicon()))
     sca_build = _build(sca_index, corpus, tags)
     sca_lookups, sca_lookup_raw = _time_lookups(sca_index, scalar_queries, theta_filter)
     sca_lookup = sca_lookup_raw * scale
@@ -199,10 +195,9 @@ def _shard_section(
     oracle_index: SubjectiveTagIndex,
     oracle_lookups,
     shard_counts: Sequence[int],
-    lookup_workers: int,
     progress: Progress,
 ):
-    """Sharded cells vs the dense legacy combine, identity-checked."""
+    """Shard-count cells vs the dense legacy combine, identity-checked."""
     _say(progress, "shards: timing the dense legacy combine baseline")
     dense_lookups, dense_seconds = _dense_legacy_lookups(
         oracle_index, queries, theta_filter
@@ -214,14 +209,10 @@ def _shard_section(
             dense_delta = max(dense_delta, abs(dense_map[entity_id] - value))
     cells: Dict[str, Dict[str, object]] = {}
     identical = True
-    built_indexes: Dict[int, ShardedTagIndex] = {}
+    built_indexes: Dict[int, SubjectiveTagIndex] = {}
     for count in shard_counts:
         _say(progress, f"shards: building + timing {count} shard(s)")
-        index = ShardedTagIndex(
-            ConceptualSimilarity(restaurant_lexicon()),
-            num_shards=count,
-            lookup_workers=lookup_workers,
-        )
+        index = SubjectiveTagIndex(ConceptualSimilarity(restaurant_lexicon()), num_shards=count)
         build_seconds = _build(index, corpus, tags)
         lookups, lookup_seconds = _time_lookups(index, queries, theta_filter)
         identical = identical and all(
@@ -235,18 +226,20 @@ def _shard_section(
         built_indexes[count] = index
     return built_indexes, {
         "baseline": {
-            "kind": "dense legacy combine (fresh row + full gemv per query)",
+            "kind": (
+                "dense legacy combine "
+                "(similarity-matrix column or fresh row + full gemv per query)"
+            ),
             "lookup_seconds": dense_seconds,
             "max_abs_delta_vs_oracle": dense_delta,
         },
         "cells": cells,
         "identical_to_oracle": identical,
-        "lookup_workers": lookup_workers,
     }
 
 
 def _snapshot_section(
-    index: ShardedTagIndex,
+    index: SubjectiveTagIndex,
     cold_build_seconds: float,
     queries,
     theta_filter,
@@ -256,7 +249,7 @@ def _snapshot_section(
     sample = queries[:: max(1, len(queries) // 50)]
     expected = [index.lookup_similar(q, theta_filter=theta_filter) for q in sample]
     with tempfile.TemporaryDirectory(prefix="bench-index-snapshot-") as tmp:
-        _say(progress, "snapshot: saving + reloading the sharded index")
+        _say(progress, f"snapshot: saving + reloading the {index.num_shards}-shard index")
         start = time.perf_counter()
         manifest = save_snapshot(index, tmp)
         save_seconds = time.perf_counter() - start
@@ -383,7 +376,6 @@ def run_index_benchmark(
     queries: int = 1000,
     theta_filter: float = 0.6,
     shard_counts: Sequence[int] = (1, 4, 8),
-    lookup_workers: int = 0,
     availability_entities: int = 120,
     availability_reviews: float = 10.0,
     availability_samples: int = 300,
@@ -405,7 +397,6 @@ def run_index_benchmark(
         oracle_index,
         oracle_lookups,
         shard_counts,
-        lookup_workers,
         progress,
     )
     snapshot_source = built[max(built)]

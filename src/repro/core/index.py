@@ -12,16 +12,17 @@ statistically significant evidence).  Degrees are optionally normalised by
 ``log(max reviews + 1)`` so displayed values land in [0, 1] like Table 1;
 normalisation is a global constant and does not change any ranking.
 
-Two backends compute the same numbers:
+:class:`SubjectiveTagIndex` is the served index.  Review-tag occurrences are
+interned into a :class:`~repro.text.vocab.TagVocabulary` and stored as
+CSR-style id arrays; each ``add_tag`` is one kernel row against the
+vocabulary plus a few segmented reductions into one row of the dense
+(index_tags × entities) degree matrix.  ``lookup_similar`` scores the query
+tag against the index tags (row-stationary, LRU-cached) and sums the degree
+rows of the tags that clear ``θ_filter``.
 
-* ``"vectorized"`` (default) — review-tag occurrences are interned into a
-  :class:`~repro.text.vocab.TagVocabulary` and stored as CSR-style id
-  arrays; each ``add_tag`` is one kernel row against the vocabulary plus a
-  few segmented reductions, and ``lookup_similar`` is a masked matvec over
-  the incrementally built (index_tags × vocab) similarity matrix and the
-  dense degree matrix.
-* ``"scalar"`` — the original per-pair reference oracle, kept so tests and
-  benchmarks can assert the two agree to ≤ 1e-9 on every score.
+:class:`ReferenceTagIndex` is the original per-pair implementation, kept as
+the reference oracle that tests and ``repro bench-index`` compare the served
+index against (≤ 1e-9 on every score).  No configuration selects it.
 """
 
 from __future__ import annotations
@@ -29,38 +30,25 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
 import numpy as np
 
 from repro.core.tags import SubjectiveTag
 from repro.obs import tracing as obs
-from repro.text.similarity import ConceptualSimilarity, tag_pair
+from repro.text.similarity import ConceptualSimilarity
 from repro.text.vocab import TagVocabulary
 
-__all__ = ["IndexEntry", "SubjectiveTagIndex", "theta_from_peak"]
+__all__ = ["IndexEntry", "ReferenceTagIndex", "SubjectiveTagIndex"]
 
 #: ``similarity_block`` keeps each query row bitwise independent of its
 #: batch only up to ``_ROW_STATIONARY_MAX_ROWS`` (64) rows; lookup score
 #: rows are computed in chunks of this size so the same query tag always
-#: lands on the same bits, whatever rode along in the batch — and whatever
-#: shard layout is answering (see :mod:`repro.core.shards`).
+#: lands on the same bits, whatever rode along in the batch.
 _QUERY_ROW_CHUNK = 64
 
 #: LRU bound on cached per-query score rows.
 _QUERY_ROW_CACHE_MAX = 4096
-
-
-def theta_from_peak(theta_index: float, dynamic_margin: float, peak: float) -> float:
-    """Dynamic-mode threshold from a tag's peak review-tag similarity.
-
-    Shared between :class:`SubjectiveTagIndex` and the sharded wrapper so a
-    threshold computed from the global peak (max over shard peaks) is the
-    same float the single-shard oracle derives.
-    """
-    if peak <= 0.0:
-        return theta_index
-    return float(min(max(theta_index, peak - dynamic_margin), 0.95))
 
 
 @dataclass
@@ -71,8 +59,12 @@ class IndexEntry:
     degree: float
 
 
-class SubjectiveTagIndex:
-    """Inverted index over subjective tags with degrees of truth."""
+class _TagIndexBase:
+    """Configuration, stored corpus and the dict query API both indexes share.
+
+    Subclasses supply ``add_tag``, ``peak_similarity`` and
+    ``lookup_similar_batch``.
+    """
 
     def __init__(
         self,
@@ -82,7 +74,6 @@ class SubjectiveTagIndex:
         review_count_mode: str = "matched",
         theta_mode: str = "static",
         dynamic_margin: float = 0.08,
-        backend: str = "vectorized",
     ):
         if not 0.0 < theta_index < 1.0:
             raise ValueError("theta_index must lie in (0, 1)")
@@ -90,8 +81,6 @@ class SubjectiveTagIndex:
             raise ValueError("review_count_mode must be 'matched' or 'all'")
         if theta_mode not in ("static", "dynamic"):
             raise ValueError("theta_mode must be 'static' or 'dynamic'")
-        if backend not in ("vectorized", "scalar"):
-            raise ValueError("backend must be 'vectorized' or 'scalar'")
         self.similarity = similarity
         self.theta_index = theta_index
         self.normalize_degrees = normalize_degrees
@@ -112,15 +101,6 @@ class SubjectiveTagIndex:
         #: distribution, a specific tag keeps the configured floor.
         self.theta_mode = theta_mode
         self.dynamic_margin = dynamic_margin
-        self.backend = backend
-        #: When this index is one shard of a :class:`~repro.core.shards.\
-        #: ShardedTagIndex`, degree normalisation must use the *corpus-wide*
-        #: review maximum, not the shard-local one; the wrapper keeps this in
-        #: sync.  ``None`` means "derive from my own entities" (unsharded).
-        self.shared_review_max: Optional[int] = None
-        #: every distinct tag seen at registration or indexing time, interned
-        #: to an integer id with kernel features resolved once.
-        self.vocab = TagVocabulary(similarity)
         self._entries: Dict[SubjectiveTag, Dict[str, float]] = {}
         #: per-entity, per-review extracted tags, kept so new index tags can
         #: be mapped without re-reading reviews (the Figure 1 indexing round).
@@ -128,7 +108,125 @@ class SubjectiveTagIndex:
         self._entity_review_counts: Dict[str, int] = {}
         #: dynamic-mode per-tag thresholds, cached until the corpus changes.
         self._threshold_cache: Dict[SubjectiveTag, float] = {}
-        # ----- matrix backing (vectorized backend) -----
+
+    # ------------------------------------------------------------- population
+
+    def register_entity(
+        self,
+        entity_id: str,
+        review_tags: Sequence[Sequence[SubjectiveTag]],
+    ) -> None:
+        """Store an entity's per-review extracted tags (extraction output)."""
+        per_review = [list(tags) for tags in review_tags]
+        self._entity_tags[entity_id] = per_review
+        self._entity_review_counts[entity_id] = len(per_review)
+        self._threshold_cache.clear()
+
+    def build(self, tags: Iterable[SubjectiveTag]) -> "_TagIndexBase":
+        """Add many tags (one indexing round)."""
+        for tag in tags:
+            self.add_tag(tag)
+        return self
+
+    def _threshold_for(self, tag: SubjectiveTag, _row: Optional[np.ndarray] = None) -> float:
+        """Per-tag similarity threshold (static, or semantics-adaptive).
+
+        Dynamic mode compares the tag against each *distinct* review tag —
+        not every occurrence, which made each ``add_tag`` O(total review
+        tags) for no gain (duplicates cannot change the peak).  The result
+        is cached per tag until new entities are registered.
+        """
+        if self.theta_mode == "static":
+            return self.theta_index
+        cached = self._threshold_cache.get(tag)
+        if cached is not None:
+            return cached
+        # Generic tags see many high-similarity neighbours; push the
+        # threshold up toward (max - margin) so only close matches count.
+        peak = self.peak_similarity(tag, _row=_row)
+        theta = self.theta_index
+        if peak > 0.0:
+            theta = float(min(max(self.theta_index, peak - self.dynamic_margin), 0.95))
+        self._threshold_cache[tag] = theta
+        return theta
+
+    def _max_reviews(self) -> int:
+        """|R| of the best-reviewed entity (the normalisation constant)."""
+        return max(self._entity_review_counts.values(), default=1)
+
+    # ---------------------------------------------------------------- queries
+
+    @property
+    def tags(self) -> List[SubjectiveTag]:
+        return list(self._entries)
+
+    def __contains__(self, tag: SubjectiveTag) -> bool:
+        return tag in self._entries
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def lookup(self, tag: SubjectiveTag) -> Dict[str, float]:
+        """Exact-tag entity mapping (empty if the tag is not indexed)."""
+        return dict(self._entries.get(tag, {}))
+
+    def lookup_similar(self, tag: SubjectiveTag, theta_filter: float) -> Dict[str, float]:
+        """Union of similar index tags' mappings, degrees scaled by similarity.
+
+        Implements Algorithm 1 line 10: for an unknown tag, combine the
+        mappings of all index tags with similarity above ``θ_filter``; an
+        entity reached through several similar tags accumulates their
+        contributions (the paper's worked example sums ``s1·0.76 + s2·0.94``
+        for Anchovy).
+        """
+        return self.lookup_similar_batch([tag], theta_filter)[0]
+
+    def snippet(self, max_tags: int = 4, max_entities: int = 3) -> str:
+        """A Table-1-style textual rendering (for examples and docs).
+
+        Entries tie-break on entity id so the rendering is stable across
+        runs even when degrees are exactly equal.
+        """
+        lines = []
+        for tag in list(self._entries)[:max_tags]:
+            entries = sorted(
+                self._entries[tag].items(), key=lambda kv: (-kv[1], kv[0])
+            )[:max_entities]
+            rendered = ", ".join(f"{e} ({d:.2f})" for e, d in entries)
+            lines.append(f"{tag.text:<22} -> {rendered}")
+        return "\n".join(lines)
+
+
+class SubjectiveTagIndex(_TagIndexBase):
+    """Inverted index over subjective tags with degrees of truth."""
+
+    def __init__(
+        self,
+        similarity: ConceptualSimilarity,
+        theta_index: float = 0.70,
+        normalize_degrees: bool = True,
+        review_count_mode: str = "matched",
+        theta_mode: str = "static",
+        dynamic_margin: float = 0.08,
+        num_shards: int = 1,
+    ):
+        super().__init__(
+            similarity,
+            theta_index=theta_index,
+            normalize_degrees=normalize_degrees,
+            review_count_mode=review_count_mode,
+            theta_mode=theta_mode,
+            dynamic_margin=dynamic_margin,
+        )
+        if num_shards < 1:
+            raise ValueError("num_shards must be >= 1")
+        #: the snapshot's file layout: :func:`repro.core.snapshot.save_snapshot`
+        #: routes each entity to one of this many ``shard-NNN.npz`` files.
+        #: Nothing at build or lookup time reads it.
+        self.num_shards = num_shards
+        #: every distinct tag seen at registration or indexing time, interned
+        #: to an integer id with kernel features resolved once.
+        self.vocab = TagVocabulary(similarity)
         self._entity_order: List[str] = []
         self._entity_col: Dict[str, int] = {}
         self._occ_dirty = False
@@ -137,15 +235,9 @@ class SubjectiveTagIndex:
         self._review_entity = np.zeros(0, dtype=np.intp)
         self._occ_review = np.zeros(0, dtype=np.intp)
         self._review_counts_vec = np.zeros(0)
-        #: similarity rows: one per index tag, each covering the vocabulary
-        #: prefix that existed when the row was computed (rectangularised
-        #: lazily by :meth:`_sync_sim_cols`).
-        self._sim_rows: List[np.ndarray] = []
-        self._sim_cols = 0
+        #: one degree row per index tag, over the entity columns.
         self._degree_rows: List[np.ndarray] = []
-        self._sim_cache: Optional[np.ndarray] = None
         self._degree_cache: Optional[np.ndarray] = None
-        self._matrix_stale = False
         #: row-stationary (query tag × index tags) score rows, LRU-bounded;
         #: invalidated whenever the index tag list grows.
         self._query_row_cache: "OrderedDict[SubjectiveTag, np.ndarray]" = OrderedDict()
@@ -159,137 +251,49 @@ class SubjectiveTagIndex:
         review_tags: Sequence[Sequence[SubjectiveTag]],
     ) -> None:
         """Store an entity's per-review extracted tags (extraction output)."""
-        per_review = [list(tags) for tags in review_tags]
-        self._entity_tags[entity_id] = per_review
-        self._entity_review_counts[entity_id] = len(per_review)
+        super().register_entity(entity_id, review_tags)
         if entity_id not in self._entity_col:
             self._entity_col[entity_id] = len(self._entity_order)
             self._entity_order.append(entity_id)
-        for tags in per_review:
+        for tags in self._entity_tags[entity_id]:
             self.vocab.intern_many(tags)
         self._occ_dirty = True
-        self._threshold_cache.clear()
 
-    def add_tag(self, tag: SubjectiveTag, _theta: Optional[float] = None) -> None:
-        """Add an index tag and compute its entity mappings (Eq. 1).
-
-        ``_theta`` lets the sharded wrapper pin the similarity threshold it
-        derived from the *global* corpus (dynamic mode peaks are corpus-wide
-        statistics a single shard cannot see).
-        """
+    def add_tag(self, tag: SubjectiveTag) -> None:
+        """Add an index tag and compute its entity mappings (Eq. 1)."""
         if tag in self._entries:
             return
-        if self.backend == "scalar":
-            theta = self._threshold_for(tag) if _theta is None else _theta
-            mapping: Dict[str, float] = {}
-            for entity_id in self._entity_tags:
-                degree = self._degree_of_truth(tag, entity_id, theta)
-                if degree > 0.0:
-                    mapping[entity_id] = degree
-            self._entries[tag] = mapping
-            return
         self._ensure_occ()
-        self._ensure_matrix()
         self.vocab.intern(tag)
         row = self.vocab.similarity_rows([tag])[0]
-        theta = self._threshold_for(tag, _row=row) if _theta is None else _theta
-        degrees = self._degrees_from_row(row, theta)
+        degrees = self._degrees_from_row(row, self._threshold_for(tag, _row=row))
         self._entries[tag] = {
             entity_id: float(degree)
             for entity_id, degree in zip(self._entity_order, degrees)
             if degree > 0.0
         }
-        self._sim_rows.append(row)
         self._degree_rows.append(degrees)
-        self._sim_cache = None
         self._degree_cache = None
         # Cached query rows span the old index tag list; drop them.
         self._query_row_cache.clear()
         self._query_rows_warm = False
 
-    def _threshold_for(self, tag: SubjectiveTag, _row: Optional[np.ndarray] = None) -> float:
-        """Per-tag similarity threshold (static, or semantics-adaptive).
-
-        Dynamic mode compares the tag against each *distinct* review tag in
-        the vocabulary — not every occurrence, which made each ``add_tag``
-        O(total review tags) for no gain (duplicates cannot change the peak).
-        The result is cached per tag until new entities are registered.
-        """
-        if self.theta_mode == "static":
-            return self.theta_index
-        cached = self._threshold_cache.get(tag)
-        if cached is not None:
-            return cached
-        # Generic tags see many high-similarity neighbours; push the
-        # threshold up toward (max - margin) so only close matches count.
-        theta = theta_from_peak(
-            self.theta_index, self.dynamic_margin, self.peak_similarity(tag, _row=_row)
-        )
-        self._threshold_cache[tag] = theta
-        return theta
-
     def peak_similarity(self, tag: SubjectiveTag, _row: Optional[np.ndarray] = None) -> float:
         """Max positive similarity between ``tag`` and any distinct review tag.
 
         Returns 0.0 when the corpus is empty or nothing scores above zero.
-        The sharded wrapper takes the max of the per-shard peaks — shards
-        partition the occurrences, so that max equals the global peak.
         """
         self._ensure_occ()
         distinct = np.unique(self._occ_ids)
         if distinct.size == 0:
             return 0.0
-        if _row is not None:
-            sims = _row[distinct]
-        elif self.backend == "vectorized":
-            sims = self.vocab.similarity_rows([tag])[0][distinct]
-        else:
-            sims = np.array(
-                [
-                    self.similarity.tag_similarity(tag.pair, tag_pair(self.vocab.tag_of(i)))
-                    for i in distinct
-                ]
-            )
+        if _row is None:
+            _row = self.vocab.similarity_rows([tag])[0]
+        sims = _row[distinct]
         positive = sims[sims > 0.0]
         if positive.size == 0:
             return 0.0
         return float(positive.max())
-
-    def build(self, tags: Iterable[SubjectiveTag]) -> "SubjectiveTagIndex":
-        """Add many tags (one indexing round)."""
-        for tag in tags:
-            self.add_tag(tag)
-        return self
-
-    def _degree_of_truth(self, tag: SubjectiveTag, entity_id: str, theta: Optional[float] = None) -> float:
-        """Scalar-path Eq. 1 for one (tag, entity) pair — the reference oracle."""
-        theta = self.theta_index if theta is None else theta
-        matched: List[float] = []
-        matching_reviews = 0
-        for review_tag_list in self._entity_tags[entity_id]:
-            review_matched = False
-            for review_tag in review_tag_list:
-                score = self.similarity.tag_similarity(tag.pair, review_tag.pair)
-                if score > theta:
-                    matched.append(score)
-                    review_matched = True
-            matching_reviews += int(review_matched)
-        if not matched:
-            return 0.0
-        if self.review_count_mode == "matched":
-            review_count = matching_reviews
-        else:
-            review_count = self._entity_review_counts[entity_id]
-        degree = math.log(review_count + 1) / len(matched) * sum(matched)
-        if self.normalize_degrees:
-            degree /= math.log(self._max_reviews() + 1)
-        return degree
-
-    def _max_reviews(self) -> int:
-        """|R| of the best-reviewed entity (corpus-wide when sharded)."""
-        if self.shared_review_max is not None:
-            return self.shared_review_max
-        return max(self._entity_review_counts.values(), default=1)
 
     # ------------------------------------------------------- matrix plumbing
 
@@ -318,7 +322,7 @@ class SubjectiveTagIndex:
             [float(self._entity_review_counts.get(eid, 0)) for eid in self._entity_order]
         )
         # Entities registered after a tag was added keep degree 0 for that
-        # tag (mappings are computed at add time, matching the scalar path).
+        # tag (mappings are computed at add time, matching the reference).
         n_entities = len(self._entity_order)
         self._degree_rows = [
             np.pad(row, (0, n_entities - len(row))) if len(row) < n_entities else row
@@ -326,61 +330,6 @@ class SubjectiveTagIndex:
         ]
         self._degree_cache = None
         self._occ_dirty = False
-
-    def _ensure_matrix(self) -> None:
-        """Fully rebuild similarity/degree rows after a snapshot restore."""
-        if not self._matrix_stale:
-            return
-        tags = list(self._entries)
-        if tags:
-            block = self.vocab.similarity_rows(tags)
-            self._sim_rows = [block[i] for i in range(len(tags))]
-        else:
-            self._sim_rows = []
-        self._sim_cols = len(self.vocab)
-        n_entities = len(self._entity_order)
-        self._degree_rows = []
-        for tag in tags:
-            row = np.zeros(n_entities)
-            for entity_id, degree in self._entries[tag].items():
-                col = self._entity_col.get(entity_id)
-                if col is not None:
-                    row[col] = degree
-            self._degree_rows.append(row)
-        self._sim_cache = None
-        self._degree_cache = None
-        self._matrix_stale = False
-
-    def _sync_sim_cols(self) -> None:
-        """Rectangularise similarity rows up to the current vocabulary size.
-
-        Rows are appended covering whatever vocabulary prefix existed at add
-        time; one batched kernel call fills every missing suffix at once.
-        """
-        vocab_size = len(self.vocab)
-        tags = list(self._entries)
-        short = [i for i, row in enumerate(self._sim_rows) if len(row) < vocab_size]
-        if not short:
-            self._sim_cols = vocab_size
-            return
-        start = min(len(self._sim_rows[i]) for i in short)
-        block = self.similarity.similarity_block(
-            self.similarity.tag_features([tags[i] for i in short]),
-            self.vocab.features_range(start, vocab_size),
-        )
-        for block_i, i in enumerate(short):
-            row = self._sim_rows[i]
-            self._sim_rows[i] = np.concatenate([row, block[block_i, len(row) - start :]])
-        self._sim_cache = None
-        self._sim_cols = vocab_size
-
-    def _sim_matrix(self) -> np.ndarray:
-        """The cached (index_tags × vocab) similarity matrix."""
-        if self._sim_cache is None:
-            self._sim_cache = (
-                np.vstack(self._sim_rows) if self._sim_rows else np.zeros((0, self._sim_cols))
-            )
-        return self._sim_cache
 
     def _degree_matrix(self) -> np.ndarray:
         """The cached (index_tags × entities) degree-of-truth matrix."""
@@ -400,9 +349,7 @@ class SubjectiveTagIndex:
         occurrence→review segment ids rather than differences of global
         prefix sums: bincount accumulates each bin independently in input
         order, so every per-review (and hence per-entity) float is bitwise
-        identical no matter which other reviews share the arrays.  That is
-        the property that lets an entity shard reproduce the single-shard
-        oracle exactly.
+        identical no matter which other reviews share the arrays.
         """
         scores = row[self._occ_ids]
         mask = scores > theta
@@ -431,55 +378,16 @@ class SubjectiveTagIndex:
                 degrees /= denom
         return degrees
 
-    def restore_snapshot(
-        self,
-        entries: Mapping[SubjectiveTag, Mapping[str, float]],
-        entity_tags: Mapping[str, Sequence[Sequence[SubjectiveTag]]],
-        entity_review_counts: Mapping[str, int],
-    ) -> None:
-        """Install deserialised state (used by :mod:`repro.core.index_io`)."""
-        self._entries = {tag: dict(mapping) for tag, mapping in entries.items()}
-        self._entity_tags = {
-            entity_id: [list(tags) for tags in per_review]
-            for entity_id, per_review in entity_tags.items()
-        }
-        self._entity_review_counts = {
-            entity_id: int(count) for entity_id, count in entity_review_counts.items()
-        }
-        self._entity_order = []
-        self._entity_col = {}
-        for entity_id in self._entity_tags:
-            self._entity_col[entity_id] = len(self._entity_order)
-            self._entity_order.append(entity_id)
-        for mapping in self._entries.values():
-            for entity_id in mapping:
-                if entity_id not in self._entity_col:
-                    self._entity_col[entity_id] = len(self._entity_order)
-                    self._entity_order.append(entity_id)
-                    self._entity_review_counts.setdefault(entity_id, 0)
-        for per_review in self._entity_tags.values():
-            for tags in per_review:
-                self.vocab.intern_many(tags)
-        self.vocab.intern_many(self._entries)
-        self._threshold_cache.clear()
-        self._occ_dirty = True
-        self._matrix_stale = True
-        self._sim_cache = None
-        self._degree_cache = None
-
     # ------------------------------------------------------------- persistence
 
     def snapshot_arrays(self) -> Dict[str, np.ndarray]:
-        """Materialised matrix state for :mod:`repro.core.snapshot`.
+        """The whole index as arrays, for :mod:`repro.core.snapshot`.
 
-        Forces every lazy structure first so a load never has to re-run a
-        similarity kernel.  Tags are stored as parallel aspect/opinion
-        string arrays — round-tripping through ``SubjectiveTag.text`` would
-        mis-split multi-word aspects.
+        Tags are stored as parallel aspect/opinion string arrays —
+        round-tripping through ``SubjectiveTag.text`` would mis-split
+        multi-word aspects.
         """
         self._ensure_occ()
-        self._ensure_matrix()
-        self._sync_sim_cols()
         vocab_tags = self.vocab.tags
         index_tags = list(self._entries)
         return {
@@ -495,7 +403,6 @@ class SubjectiveTagIndex:
             "occ_ids": np.asarray(self._occ_ids, dtype=np.int64),
             "review_indptr": np.asarray(self._review_indptr, dtype=np.int64),
             "review_entity": np.asarray(self._review_entity, dtype=np.int64),
-            "sims": self._sim_matrix().astype(np.float64, copy=False),
             "degrees": self._degree_matrix().astype(np.float64, copy=False),
         }
 
@@ -510,13 +417,13 @@ class SubjectiveTagIndex:
         review_count_mode: str = "matched",
         theta_mode: str = "static",
         dynamic_margin: float = 0.08,
-        shared_review_max: Optional[int] = None,
+        num_shards: int = 1,
     ) -> "SubjectiveTagIndex":
-        """Rebuild a vectorized index from :meth:`snapshot_arrays` output.
+        """Rebuild an index from :meth:`snapshot_arrays` output.
 
-        The similarity and degree matrices are installed verbatim (bitwise —
-        no kernel re-runs), and the per-review tag lists are reconstructed
-        from the CSR occurrence arrays so later indexing rounds still work.
+        The degree matrix is installed verbatim (bitwise — no kernel
+        re-runs), and the per-review tag lists are reconstructed from the
+        CSR occurrence arrays so later indexing rounds still work.
         """
         index = cls(
             similarity,
@@ -525,9 +432,8 @@ class SubjectiveTagIndex:
             review_count_mode=review_count_mode,
             theta_mode=theta_mode,
             dynamic_margin=dynamic_margin,
-            backend="vectorized",
+            num_shards=num_shards,
         )
-        index.shared_review_max = None if shared_review_max is None else int(shared_review_max)
         vocab_tags = [
             SubjectiveTag(aspect=str(aspect), opinion=str(opinion))
             for aspect, opinion in zip(
@@ -547,12 +453,9 @@ class SubjectiveTagIndex:
         occ_ids = np.asarray(arrays["occ_ids"], dtype=np.intp)
         review_indptr = np.asarray(arrays["review_indptr"], dtype=np.intp)
         review_entity = np.asarray(arrays["review_entity"], dtype=np.intp)
-        sims = np.asarray(arrays["sims"], dtype=np.float64)
         degrees = np.asarray(arrays["degrees"], dtype=np.float64)
-        if sims.shape[0] != len(index_tags) or degrees.shape[0] != len(index_tags):
+        if degrees.shape[0] != len(index_tags):
             raise ValueError("snapshot arrays disagree on index tag count")
-        if sims.size and sims.shape[1] != len(index.vocab):
-            raise ValueError("snapshot similarity matrix does not cover the vocabulary")
         if degrees.size and degrees.shape[1] != len(entity_order):
             raise ValueError("snapshot degree matrix does not cover the entities")
         if occ_ids.size and (occ_ids.min() < 0 or occ_ids.max() >= len(vocab_tags)):
@@ -574,10 +477,7 @@ class SubjectiveTagIndex:
             np.arange(len(review_entity), dtype=np.intp), np.diff(review_indptr)
         )
         index._review_counts_vec = np.asarray([float(count) for count in counts])
-        index._occ_dirty = False
-        index._sim_rows = [sims[i] for i in range(sims.shape[0])]
         index._degree_rows = [degrees[i] for i in range(degrees.shape[0])]
-        index._sim_cols = len(index.vocab)
         index._entries = {
             tag: {
                 entity_order[col]: float(degrees[i, col])
@@ -585,63 +485,38 @@ class SubjectiveTagIndex:
             }
             for i, tag in enumerate(index_tags)
         }
-        index._matrix_stale = False
-        index._sim_cache = None
-        index._degree_cache = None
         return index
 
     # ---------------------------------------------------------------- queries
-
-    @property
-    def tags(self) -> List[SubjectiveTag]:
-        return list(self._entries)
 
     @property
     def entity_order(self) -> List[str]:
         """Registered entity ids in matrix-column order."""
         return list(self._entity_order)
 
-    def __contains__(self, tag: SubjectiveTag) -> bool:
-        return tag in self._entries
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def lookup(self, tag: SubjectiveTag) -> Dict[str, float]:
-        """Exact-tag entity mapping (empty if the tag is not indexed)."""
-        return dict(self._entries.get(tag, {}))
-
-    def lookup_similar(self, tag: SubjectiveTag, theta_filter: float) -> Dict[str, float]:
-        """Union of similar index tags' mappings, degrees scaled by similarity.
-
-        Implements Algorithm 1 line 10: for an unknown tag, combine the
-        mappings of all index tags with similarity above ``θ_filter``; an
-        entity reached through several similar tags accumulates their
-        contributions (the paper's worked example sums ``s1·0.76 + s2·0.94``
-        for Anchovy).
-        """
-        return self.lookup_similar_batch([tag], theta_filter)[0]
-
     def lookup_similar_batch(
         self, tags: Sequence[SubjectiveTag], theta_filter: float
     ) -> List[Dict[str, float]]:
         """:meth:`lookup_similar` for many tags with one batched kernel pass.
 
-        A multi-tag utterance issues a single call; similarity rows for tags
-        already interned in the vocabulary come straight out of the cached
-        (index_tags × vocab) matrix, the rest share one kernel block.
+        A multi-tag utterance issues a single call.  Each query's combine
+        visits the index tags that clear ``θ_filter`` in tag order, one
+        degree row at a time, instead of a dense BLAS matvec: each entity's
+        sum is a fixed left-to-right reduction, bitwise independent of how
+        many entities share the matrix, and the work is
+        O(active_tags × entities) rather than O(index_tags × entities).
         """
         tags = list(tags)
-        with obs.span("index.similarity", tags=len(tags), backend=self.backend):
-            if self.backend == "scalar":
-                return [self._scalar_lookup_similar(tag, theta_filter) for tag in tags]
+        with obs.span("index.similarity", tags=len(tags)):
             if not self._entries or not tags:
                 return [{} for _ in tags]
             self._ensure_occ()
-            self._ensure_matrix()
+            degree_matrix = self._degree_matrix()
             results: List[Dict[str, float]] = []
             for scores in self._query_rows(tags):
-                combined = self.combine_score_rows(scores, theta_filter)
+                combined = np.zeros(degree_matrix.shape[1])
+                for tag_pos in np.nonzero(scores > theta_filter)[0]:
+                    combined += scores[tag_pos] * degree_matrix[tag_pos]
                 results.append(
                     {
                         entity_id: float(value)
@@ -655,12 +530,8 @@ class SubjectiveTagIndex:
         """One score row per query tag against the index tag list.
 
         Rows come from the LRU cache or a row-stationary kernel call
-        (chunked at :data:`_QUERY_ROW_CHUNK`), never from columns of the
-        cached (index_tags × vocab) matrix: that matrix is built in large
-        batches whose gemm low bits depend on batch shape, while these rows
-        must be bitwise reproducible however they are batched — it is what
-        makes the sharded wrapper (which computes rows the same way and
-        shares them across shards) byte-identical to this index.
+        (chunked at :data:`_QUERY_ROW_CHUNK`), so a query tag's row is
+        bitwise the same however the queries around it were batched.
         """
         index_tags = list(self._entries)
         if not self._query_rows_warm:
@@ -696,46 +567,73 @@ class SubjectiveTagIndex:
             self._query_row_cache.popitem(last=False)
         return rows
 
-    def combine_score_rows(self, scores: np.ndarray, theta_filter: float) -> np.ndarray:
-        """θ-filtered similarity-weighted sum of degree rows (Alg. 1 line 10).
 
-        The accumulation visits index tags in tag order, one row at a time,
-        instead of handing a dense matvec to BLAS: each entity's sum is then
-        a fixed left-to-right reduction over the *same* tag sequence whatever
-        the entity layout, so a shard holding a subset of the entity columns
-        produces bitwise-identical degrees to the single-shard oracle.  It is
-        also faster when few tags clear ``theta_filter`` — work is
-        O(active_tags × entities), not O(index_tags × entities).
-        """
-        self._ensure_occ()
-        self._ensure_matrix()
-        degree_matrix = self._degree_matrix()
-        combined = np.zeros(degree_matrix.shape[1])
-        for tag_pos in np.nonzero(scores > theta_filter)[0]:
-            combined += scores[tag_pos] * degree_matrix[tag_pos]
-        return combined
+class ReferenceTagIndex(_TagIndexBase):
+    """Eq. 1 and Algorithm 1 line 10 computed one (tag, review tag) pair at a time.
 
-    def _scalar_lookup_similar(self, tag: SubjectiveTag, theta_filter: float) -> Dict[str, float]:
-        combined: Dict[str, float] = {}
-        for index_tag, mapping in self._entries.items():
-            score = self.similarity.tag_similarity(tag.pair, index_tag.pair)
-            if score <= theta_filter:
-                continue
-            for entity_id, degree in mapping.items():
-                combined[entity_id] = combined.get(entity_id, 0.0) + score * degree
-        return combined
+    The reference oracle for :class:`SubjectiveTagIndex`: same constructor
+    options, same query API, no matrices.  Tests and ``repro bench-index``
+    build both and compare every score.
+    """
 
-    def snippet(self, max_tags: int = 4, max_entities: int = 3) -> str:
-        """A Table-1-style textual rendering (for examples and docs).
+    def add_tag(self, tag: SubjectiveTag) -> None:
+        """Add an index tag and compute its entity mappings (Eq. 1)."""
+        if tag in self._entries:
+            return
+        theta = self._threshold_for(tag)
+        mapping: Dict[str, float] = {}
+        for entity_id in self._entity_tags:
+            degree = self._degree_of_truth(tag, entity_id, theta)
+            if degree > 0.0:
+                mapping[entity_id] = degree
+        self._entries[tag] = mapping
 
-        Entries tie-break on entity id so the rendering is stable across
-        runs even when degrees are exactly equal.
-        """
-        lines = []
-        for tag in list(self._entries)[:max_tags]:
-            entries = sorted(
-                self._entries[tag].items(), key=lambda kv: (-kv[1], kv[0])
-            )[:max_entities]
-            rendered = ", ".join(f"{e} ({d:.2f})" for e, d in entries)
-            lines.append(f"{tag.text:<22} -> {rendered}")
-        return "\n".join(lines)
+    def peak_similarity(self, tag: SubjectiveTag, _row: Optional[np.ndarray] = None) -> float:
+        """Max positive similarity between ``tag`` and any distinct review tag."""
+        distinct = {
+            review_tag
+            for per_review in self._entity_tags.values()
+            for review in per_review
+            for review_tag in review
+        }
+        scores = (self.similarity.tag_similarity(tag.pair, t.pair) for t in distinct)
+        return max((score for score in scores if score > 0.0), default=0.0)
+
+    def _degree_of_truth(self, tag: SubjectiveTag, entity_id: str, theta: float) -> float:
+        """Eq. 1 for one (tag, entity) pair."""
+        matched: List[float] = []
+        matching_reviews = 0
+        for review_tag_list in self._entity_tags[entity_id]:
+            review_matched = False
+            for review_tag in review_tag_list:
+                score = self.similarity.tag_similarity(tag.pair, review_tag.pair)
+                if score > theta:
+                    matched.append(score)
+                    review_matched = True
+            matching_reviews += int(review_matched)
+        if not matched:
+            return 0.0
+        if self.review_count_mode == "matched":
+            review_count = matching_reviews
+        else:
+            review_count = self._entity_review_counts[entity_id]
+        degree = math.log(review_count + 1) / len(matched) * sum(matched)
+        if self.normalize_degrees:
+            degree /= math.log(self._max_reviews() + 1)
+        return degree
+
+    def lookup_similar_batch(
+        self, tags: Sequence[SubjectiveTag], theta_filter: float
+    ) -> List[Dict[str, float]]:
+        """Algorithm 1 line 10 for each tag, scanning every index tag."""
+        results: List[Dict[str, float]] = []
+        for tag in tags:
+            combined: Dict[str, float] = {}
+            for index_tag, mapping in self._entries.items():
+                score = self.similarity.tag_similarity(tag.pair, index_tag.pair)
+                if score <= theta_filter:
+                    continue
+                for entity_id, degree in mapping.items():
+                    combined[entity_id] = combined.get(entity_id, 0.0) + score * degree
+            results.append(combined)
+        return results

@@ -25,7 +25,6 @@ from repro.core.extractor import OracleExtractor, TagExtractor
 from repro.core.fraud import FakeReviewFilter
 from repro.core.filtering import FilterConfig, filter_and_rank
 from repro.core.index import SubjectiveTagIndex
-from repro.core.shards import ShardedTagIndex
 from repro.core.tags import SubjectiveTag
 from repro.data.schema import Entity, Review
 from repro.obs import tracing as obs
@@ -67,7 +66,7 @@ class PreparedIndex:
     the only part that needs the serving lock).
     """
 
-    index: Union[SubjectiveTagIndex, ShardedTagIndex]
+    index: SubjectiveTagIndex
     tags: Tuple[SubjectiveTag, ...]
 
 
@@ -83,10 +82,6 @@ class SaccsConfig:
     backfill: bool = True
     review_count_mode: str = "matched"
     theta_mode: str = "static"
-    #: index similarity backend: ``"vectorized"`` (matrix kernel, default)
-    #: or ``"scalar"`` (per-pair reference oracle, kept for equivalence
-    #: testing and ablation benchmarks).
-    backend: str = "vectorized"
     #: extraction pass: ``"bucketed"`` (corpus-wide length buckets through
     #: the :class:`~repro.core.extraction_engine.ExtractionEngine`, default)
     #: or ``"sequential"`` (one extractor call per review — the reference
@@ -103,21 +98,15 @@ class SaccsConfig:
     #: bucketed extraction: ``"float64"`` (bitwise-identical default),
     #: ``"float32"`` or ``"int8"`` (tolerance-bounded, faster).
     encoder_precision: str = "float64"
-    #: entity shards for the tag index.  1 (default) keeps the plain
-    #: :class:`SubjectiveTagIndex`; >1 routes entities by content hash into
-    #: a :class:`~repro.core.shards.ShardedTagIndex` whose lookups are
-    #: byte-identical to the single-shard oracle.
+    #: entity shard files a :func:`~repro.core.snapshot.save_snapshot` of
+    #: the index writes.  Changes nothing at build or lookup time.
     index_shards: int = 1
-    #: threads for the sharded lookup fan-out (<= 1 = in-line).
-    index_lookup_workers: int = 0
 
     def __post_init__(self):
         if self.extraction_mode not in ("bucketed", "sequential"):
             raise ValueError("extraction_mode must be 'bucketed' or 'sequential'")
         if self.index_shards < 1:
             raise ValueError("index_shards must be >= 1")
-        if self.index_shards > 1 and self.backend != "vectorized":
-            raise ValueError("index_shards > 1 requires the vectorized backend")
 
     def filter_config(self) -> FilterConfig:
         return FilterConfig(
@@ -174,23 +163,14 @@ class Saccs:
 
     # ------------------------------------------------------------- ingestion
 
-    def _make_index(self) -> Union[SubjectiveTagIndex, ShardedTagIndex]:
-        """A fresh, empty index honouring the configured shard count."""
-        if self.config.index_shards > 1:
-            return ShardedTagIndex(
-                self.similarity,
-                num_shards=self.config.index_shards,
-                theta_index=self.config.theta_index,
-                review_count_mode=self.config.review_count_mode,
-                theta_mode=self.config.theta_mode,
-                lookup_workers=self.config.index_lookup_workers,
-            )
+    def _make_index(self) -> SubjectiveTagIndex:
+        """A fresh, empty index from the configuration."""
         return SubjectiveTagIndex(
             self.similarity,
             theta_index=self.config.theta_index,
             review_count_mode=self.config.review_count_mode,
             theta_mode=self.config.theta_mode,
-            backend=self.config.backend,
+            num_shards=self.config.index_shards,
         )
 
     def ingest_reviews(self) -> None:
@@ -207,7 +187,7 @@ class Saccs:
 
     def _register_corpus(
         self,
-        index: Union[SubjectiveTagIndex, ShardedTagIndex],
+        index: SubjectiveTagIndex,
         pace: Optional[Callable[[], None]] = None,
     ) -> None:
         """Extract the current corpus and register it into ``index``.
@@ -305,18 +285,9 @@ class Saccs:
         """
         self.index = prepared.index
         self._ingested = True
-        added = []
-        for tag in sorted(set(self.user_tag_history)):
-            if tag not in self.index:
-                self.index.add_tag(tag)
-                added.append(tag)
-        self.user_tag_history.clear()
-        self.index_generation += 1
-        return IndexingRound(self.index_generation, tuple(added))
+        return self._fold_history()
 
-    def adopt_index(
-        self, index: Union[SubjectiveTagIndex, ShardedTagIndex]
-    ) -> None:
+    def adopt_index(self, index: SubjectiveTagIndex) -> None:
         """Install a warm-started index (snapshot load) without re-extracting.
 
         Marks the corpus as ingested so a later :meth:`build_index` call
@@ -336,6 +307,11 @@ class Saccs:
         their unknown tags.  Every round bumps :attr:`index_generation`,
         even when nothing new was adopted.
         """
+        return self._fold_history()
+
+    def _fold_history(self) -> IndexingRound:
+        """Add the history's unindexed tags (as a sorted set), clear it, and
+        bump the generation once."""
         added = []
         for tag in sorted(set(self.user_tag_history)):
             if tag not in self.index:

@@ -1,13 +1,15 @@
-"""Index snapshot persistence: per-shard ``.npz`` + hashed JSON manifest.
+"""Index snapshot persistence: ``index.npz`` + per-shard ``.npz`` + hashed manifest.
 
-A snapshot is a directory holding one ``shard-NNN.npz`` per entity shard
-(the CSR occurrence arrays, vocabulary, similarity and degree-of-truth
-matrices from :meth:`SubjectiveTagIndex.snapshot_arrays`) and a
-``manifest.json`` recording the index configuration, the indexed tag list,
-and a sha256 per file — the same content-hash keying the PR-3
-``ExtractionCache`` uses for review extractions, extended to index records.
-``repro serve --snapshot-dir`` warm-starts from one in seconds instead of
-re-extracting the corpus.
+A snapshot is a directory holding ``index.npz`` (the tag vocabulary and the
+indexed tag list, written once), one ``shard-NNN.npz`` per entity shard
+(those entities' CSR occurrence slice and degree-of-truth columns, cut from
+:meth:`SubjectiveTagIndex.snapshot_arrays`) and a ``manifest.json``
+recording the index configuration, the indexed tag list, and a sha256 per
+file — the same content-hash keying the ``ExtractionCache`` uses for review
+extractions, extended to index records.  The shard count is the index's
+``num_shards``: it only decides how entities spread over files, and a load
+reassembles the one index that was saved.  ``repro serve --snapshot-dir``
+warm-starts from a snapshot in seconds instead of re-extracting the corpus.
 
 Failure policy is *fail-safe, never fail-open*: every writer goes through
 temp-file + ``os.replace`` with the manifest written last, so a torn save
@@ -24,17 +26,17 @@ import io
 import json
 import os
 from pathlib import Path
-from typing import Dict, List, Union
+from typing import Dict, List, Sequence, Union
 
 import numpy as np
 
 from repro.core.index import SubjectiveTagIndex
-from repro.core.shards import ShardedTagIndex, shard_of
 from repro.core.tags import SubjectiveTag
 from repro.text.similarity import ConceptualSimilarity
 
 __all__ = [
     "FORMAT_VERSION",
+    "INDEX_FILE",
     "MANIFEST_NAME",
     "SnapshotError",
     "SnapshotNotFound",
@@ -42,24 +44,24 @@ __all__ = [
     "SnapshotVersionError",
     "save_snapshot",
     "load_snapshot",
+    "shard_of",
 ]
 
-#: v1 is the JSON single-index format of :mod:`repro.core.index_io`.
-FORMAT_VERSION = 2
+#: v2 wrote every array, vocabulary and a similarity matrix included, into
+#: each shard file; v3 writes the vocabulary once and no similarity matrix.
+FORMAT_VERSION = 3
 
 MANIFEST_NAME = "manifest.json"
+INDEX_FILE = "index.npz"
 
-_REQUIRED_ARRAYS = (
-    "vocab_aspects",
-    "vocab_opinions",
-    "index_aspects",
-    "index_opinions",
+_INDEX_ARRAYS = ("vocab_aspects", "vocab_opinions", "index_aspects", "index_opinions")
+_SHARD_ARRAYS = (
     "entity_order",
+    "entity_cols",
     "entity_review_counts",
     "occ_ids",
     "review_indptr",
     "review_entity",
-    "sims",
     "degrees",
 )
 
@@ -80,6 +82,21 @@ class SnapshotVersionError(SnapshotError):
     """The snapshot was written by an incompatible format version."""
 
 
+def shard_of(entity_id: str, num_shards: int) -> int:
+    """Stable entity→shard routing: first 8 bytes of sha256, mod N.
+
+    ``hash()`` is seed-randomised per process, which would scatter entities
+    across different shard files on every restart; a content hash keeps
+    placement stable forever.
+    """
+    digest = hashlib.sha256(entity_id.encode("utf-8")).digest()
+    return int.from_bytes(digest[:8], "big") % num_shards
+
+
+def _shard_name(shard_id: int) -> str:
+    return f"shard-{shard_id:03d}.npz"
+
+
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -96,41 +113,130 @@ def _manifest_hash(manifest: Dict[str, object]) -> str:
     return _sha256(json.dumps(payload, sort_keys=True).encode("utf-8"))
 
 
-def save_snapshot(
-    index: Union[SubjectiveTagIndex, ShardedTagIndex],
-    directory: Union[str, Path],
-) -> Dict[str, object]:
+def _segments(values: np.ndarray, starts: np.ndarray, lengths: np.ndarray):
+    """``values[start:start + length]`` for every segment, concatenated,
+    plus the CSR ``indptr`` over the result."""
+    indptr = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=indptr[1:])
+    offsets = np.repeat(starts - indptr[:-1], lengths)
+    return values[offsets + np.arange(indptr[-1], dtype=np.int64)], indptr
+
+
+def _split(arrays: Dict[str, np.ndarray], num_shards: int) -> List[Dict[str, np.ndarray]]:
+    """Cut the index's entity-side arrays into one array set per shard.
+
+    Each shard keeps its entities in column order (``entity_cols`` records
+    where they sat), their reviews' occurrence slice re-based to local
+    entity positions, and their degree columns.
+    """
+    routes = np.asarray(
+        [shard_of(eid, num_shards) for eid in arrays["entity_order"].tolist()], dtype=np.int64
+    )
+    indptr = arrays["review_indptr"]
+    starts, lengths = indptr[:-1], np.diff(indptr)
+    review_entity = arrays["review_entity"]
+    shards = []
+    for shard_id in range(num_shards):
+        cols = np.flatnonzero(routes == shard_id)
+        reviews = np.flatnonzero(routes[review_entity] == shard_id)
+        occ_ids, review_indptr = _segments(arrays["occ_ids"], starts[reviews], lengths[reviews])
+        shards.append(
+            {
+                "entity_order": arrays["entity_order"][cols],
+                "entity_cols": cols.astype(np.int64),
+                "entity_review_counts": arrays["entity_review_counts"][cols],
+                "occ_ids": occ_ids,
+                "review_indptr": review_indptr,
+                "review_entity": np.searchsorted(cols, review_entity[reviews]).astype(np.int64),
+                "degrees": arrays["degrees"][:, cols],
+            }
+        )
+    return shards
+
+
+def _merge(shards: Sequence[Dict[str, np.ndarray]]) -> Dict[str, np.ndarray]:
+    """Reassemble the entity-side arrays :func:`_split` cut, in column order."""
+    for shard_id, shard in enumerate(shards):
+        entities = len(shard["entity_cols"])
+        indptr, review_entity = shard["review_indptr"], shard["review_entity"]
+        in_range = review_entity.size == 0 or (
+            0 <= review_entity.min() and review_entity.max() < entities
+        )
+        consistent = (
+            len(shard["entity_order"]) == len(shard["entity_review_counts"]) == entities
+            and shard["degrees"].ndim == 2
+            and shard["degrees"].shape[1] == entities
+            and len(indptr) == len(review_entity) + 1
+            and indptr[0] == 0
+            and indptr[-1] == len(shard["occ_ids"])
+            and bool(np.all(np.diff(indptr) >= 0))
+            and in_range
+        )
+        if not consistent:
+            raise SnapshotIntegrityError(
+                f"shard {shard_id} arrays disagree on its entities and reviews"
+            )
+    cols = np.concatenate([shard["entity_cols"] for shard in shards])
+    if not np.array_equal(np.sort(cols), np.arange(len(cols))):
+        raise SnapshotIntegrityError("shard entity columns do not partition the entities")
+    by_col = np.argsort(cols, kind="stable")
+    occ_offsets = np.cumsum([0] + [len(shard["occ_ids"]) for shard in shards[:-1]])
+    review_cols = np.concatenate(
+        [shard["entity_cols"][shard["review_entity"]] for shard in shards]
+    )
+    starts = np.concatenate(
+        [shard["review_indptr"][:-1] + offset for shard, offset in zip(shards, occ_offsets)]
+    )
+    lengths = np.concatenate([np.diff(shard["review_indptr"]) for shard in shards])
+    # Stable: an entity's reviews all live in one shard, already in order.
+    by_entity = np.argsort(review_cols, kind="stable")
+    occ_ids, review_indptr = _segments(
+        np.concatenate([shard["occ_ids"] for shard in shards]),
+        starts[by_entity],
+        lengths[by_entity],
+    )
+    return {
+        "entity_order": np.concatenate([shard["entity_order"] for shard in shards])[by_col],
+        "entity_review_counts": np.concatenate(
+            [shard["entity_review_counts"] for shard in shards]
+        )[by_col],
+        "occ_ids": occ_ids,
+        "review_indptr": review_indptr,
+        "review_entity": review_cols[by_entity],
+        "degrees": np.concatenate([shard["degrees"] for shard in shards], axis=1)[:, by_col],
+    }
+
+
+def save_snapshot(index: SubjectiveTagIndex, directory: Union[str, Path]) -> Dict[str, object]:
     """Persist ``index`` under ``directory`` and return the manifest.
 
-    Shard files land first (each via temp + ``os.replace``), the manifest —
+    Data files land first (each via temp + ``os.replace``), the manifest —
     whose hashes bless them — last, so a reader never sees new files blessed
     by an old manifest as valid.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    sharded = isinstance(index, ShardedTagIndex)
-    shards = index.shards if sharded else [index]
+    arrays = index.snapshot_arrays()
+    payloads = {INDEX_FILE: {key: arrays[key] for key in _INDEX_ARRAYS}}
+    for shard_id, shard in enumerate(_split(arrays, index.num_shards)):
+        payloads[_shard_name(shard_id)] = shard
     files: Dict[str, Dict[str, object]] = {}
-    for shard_id, shard in enumerate(shards):
-        arrays = shard.snapshot_arrays()
+    for name, payload in payloads.items():
         buffer = io.BytesIO()
-        np.savez(buffer, **arrays)
+        np.savez(buffer, **payload)
         data = buffer.getvalue()
-        name = f"shard-{shard_id:03d}.npz"
         _write_atomic(directory / name, data)
         files[name] = {"sha256": _sha256(data), "bytes": len(data)}
     manifest: Dict[str, object] = {
         "format_version": FORMAT_VERSION,
-        "kind": "sharded" if sharded else "single",
-        "num_shards": len(shards),
+        "num_shards": index.num_shards,
         "config": {
             "theta_index": index.theta_index,
-            "normalize_degrees": shards[0].normalize_degrees,
+            "normalize_degrees": index.normalize_degrees,
             "review_count_mode": index.review_count_mode,
             "theta_mode": index.theta_mode,
-            "dynamic_margin": shards[0].dynamic_margin,
+            "dynamic_margin": index.dynamic_margin,
         },
-        "shared_review_max": shards[0].shared_review_max if sharded else None,
         "index_tags": [[tag.aspect, tag.opinion] for tag in index.tags],
         "files": files,
     }
@@ -142,7 +248,9 @@ def save_snapshot(
     return manifest
 
 
-def _load_shard_arrays(directory: Path, name: str, expected_sha: str) -> Dict[str, np.ndarray]:
+def _load_arrays(
+    directory: Path, name: str, expected_sha: str, required: Sequence[str]
+) -> Dict[str, np.ndarray]:
     path = directory / name
     if not path.exists():
         raise SnapshotIntegrityError(f"snapshot file missing: {name}")
@@ -154,17 +262,15 @@ def _load_shard_arrays(directory: Path, name: str, expected_sha: str) -> Dict[st
             arrays = {key: npz[key] for key in npz.files}
     except Exception as exc:
         raise SnapshotIntegrityError(f"unreadable snapshot file {name}: {exc}") from exc
-    missing = [key for key in _REQUIRED_ARRAYS if key not in arrays]
+    missing = [key for key in required if key not in arrays]
     if missing:
         raise SnapshotIntegrityError(f"snapshot file {name} lacks arrays: {missing}")
     return arrays
 
 
 def load_snapshot(
-    directory: Union[str, Path],
-    similarity: ConceptualSimilarity,
-    lookup_workers: int = 0,
-) -> Union[SubjectiveTagIndex, ShardedTagIndex]:
+    directory: Union[str, Path], similarity: ConceptualSimilarity
+) -> SubjectiveTagIndex:
     """Rebuild the index persisted under ``directory``.
 
     Raises a :class:`SnapshotError` subclass on any inconsistency; callers
@@ -188,65 +294,43 @@ def load_snapshot(
     config = manifest.get("config") or {}
     files = manifest.get("files") or {}
     num_shards = int(manifest.get("num_shards", 0))
-    if num_shards < 1 or len(files) != num_shards:
+    shard_names = [_shard_name(shard_id) for shard_id in range(num_shards)]
+    if num_shards < 1 or set(files) != {INDEX_FILE, *shard_names}:
         raise SnapshotIntegrityError(
-            f"manifest names {len(files)} files for {num_shards} shards"
+            f"manifest names files {sorted(files)} for {num_shards} shards"
         )
-    expected_tags = [
-        SubjectiveTag(aspect=str(aspect), opinion=str(opinion))
-        for aspect, opinion in manifest.get("index_tags", [])
-    ]
-    shared_review_max = manifest.get("shared_review_max")
-    kwargs = {
-        "theta_index": float(config.get("theta_index", 0.70)),
-        "normalize_degrees": bool(config.get("normalize_degrees", True)),
-        "review_count_mode": str(config.get("review_count_mode", "matched")),
-        "theta_mode": str(config.get("theta_mode", "static")),
-        "dynamic_margin": float(config.get("dynamic_margin", 0.08)),
-    }
-    shards: List[SubjectiveTagIndex] = []
-    for name in sorted(files):
-        meta = files[name]
-        arrays = _load_shard_arrays(directory, name, str(meta.get("sha256")))
-        try:
-            shard = SubjectiveTagIndex.from_snapshot_arrays(
-                similarity,
-                arrays,
-                shared_review_max=shared_review_max,
-                **kwargs,
-            )
-        except ValueError as exc:
-            raise SnapshotIntegrityError(f"inconsistent arrays in {name}: {exc}") from exc
-        if shard.tags != expected_tags:
-            raise SnapshotIntegrityError(
-                f"{name} indexes a different tag list than the manifest"
-            )
-        shards.append(shard)
-    if manifest.get("kind") == "single":
-        if len(shards) != 1:
-            raise SnapshotIntegrityError("single-index snapshot with multiple shards")
-        single = shards[0]
-        single.shared_review_max = None
-        return single
+
+    def load(name: str, required: Sequence[str]) -> Dict[str, np.ndarray]:
+        return _load_arrays(directory, name, str(files[name].get("sha256")), required)
+
+    index_arrays = load(INDEX_FILE, _INDEX_ARRAYS)
+    shards = [load(name, _SHARD_ARRAYS) for name in shard_names]
     for shard_id, shard in enumerate(shards):
-        for entity_id in shard.entity_order:
+        for entity_id in shard["entity_order"].tolist():
             if shard_of(entity_id, num_shards) != shard_id:
                 raise SnapshotIntegrityError(
                     f"entity {entity_id!r} stored in shard {shard_id} but routes "
                     f"to shard {shard_of(entity_id, num_shards)}"
                 )
-    wrapper = ShardedTagIndex(
-        similarity,
-        num_shards=num_shards,
-        lookup_workers=lookup_workers,
-        **kwargs,
-    )
-    wrapper.shards = shards
-    wrapper._tag_order = {tag: position for position, tag in enumerate(expected_tags)}
-    wrapper._entity_review_counts = {
-        entity_id: count
-        for shard in shards
-        for entity_id, count in shard._entity_review_counts.items()
-    }
-    wrapper._max_reviews = max(wrapper._entity_review_counts.values(), default=0)
-    return wrapper
+    try:
+        index = SubjectiveTagIndex.from_snapshot_arrays(
+            similarity,
+            {**index_arrays, **_merge(shards)},
+            theta_index=float(config.get("theta_index", 0.70)),
+            normalize_degrees=bool(config.get("normalize_degrees", True)),
+            review_count_mode=str(config.get("review_count_mode", "matched")),
+            theta_mode=str(config.get("theta_mode", "static")),
+            dynamic_margin=float(config.get("dynamic_margin", 0.08)),
+            num_shards=num_shards,
+        )
+    except (ValueError, IndexError) as exc:
+        raise SnapshotIntegrityError(f"inconsistent snapshot arrays: {exc}") from exc
+    expected_tags = [
+        SubjectiveTag(aspect=str(aspect), opinion=str(opinion))
+        for aspect, opinion in manifest.get("index_tags", [])
+    ]
+    if index.tags != expected_tags:
+        raise SnapshotIntegrityError(
+            f"{INDEX_FILE} indexes a different tag list than the manifest"
+        )
+    return index

@@ -138,7 +138,18 @@ def make_handler(runtime: SaccsRuntime):
             self.wfile.write(body)
 
         def _read_json(self):
-            length = int(self.headers.get("Content-Length") or 0)
+            header = self.headers.get("Content-Length") or "0"
+            try:
+                length = int(header)
+            except ValueError:
+                length = -1
+            if length < 0:
+                # Never read(-1): it blocks until the client hangs up.  The
+                # body's extent is unknown, so the connection cannot be reused.
+                self.close_connection = True
+                raise ProtocolError(
+                    f"Content-Length must be a non-negative integer, got {header!r}"
+                )
             if length > MAX_BODY_BYTES:
                 raise ProtocolError(
                     f"request body over {MAX_BODY_BYTES} bytes", status=413, code="too_large"

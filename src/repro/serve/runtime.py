@@ -472,14 +472,14 @@ class SaccsRuntime:
 
         1. under the facade lock, snapshot the indexed tag list;
         2. **without** the facade lock, extract the corpus and build the
-           replacement shards (:meth:`Saccs.prepare_rebuild`) — searches
+           replacement index (:meth:`Saccs.prepare_rebuild`) — searches
            keep draining against the live buffer the whole time;
         3. under the facade lock, swap the index pointer, fold the user
            tags that accumulated during the build, bump the generation
            (:meth:`Saccs.commit_rebuild`) — a pointer assignment plus a
            few tag adds, so the p99 of racing searches stays bounded.
 
-        Searches can never observe a half-built shard: the replacement is
+        Searches can never observe a half-built index: the replacement is
         unreachable until the swap, and the swap happens under the same
         lock every worker reads the index and generation under.
 
@@ -518,7 +518,7 @@ class SaccsRuntime:
 
     @property
     def shards(self) -> int:
-        """Entity shard count of the live index (1 for the plain index)."""
+        """Entity shard files the live index's snapshot is written as."""
         return getattr(self.saccs.index, "num_shards", 1)
 
     def health(self) -> Dict[str, object]:

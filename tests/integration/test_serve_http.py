@@ -8,6 +8,7 @@ survive the index moving).
 """
 
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -221,6 +222,24 @@ class TestHttpSurface:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request)
         assert excinfo.value.code == 400
+
+    @pytest.mark.parametrize("content_length", ["abc", "-1"])
+    def test_bad_content_length_is_a_client_error(self, server, content_length):
+        request = (
+            "POST /search HTTP/1.1\r\nHost: test\r\n"
+            f"Content-Length: {content_length}\r\n\r\n"
+            '{"tags": ["delicious food"]}'
+        ).encode("ascii")
+        with socket.create_connection((server.host, server.port), timeout=5.0) as sock:
+            sock.sendall(request)
+            response = b""
+            while chunk := sock.recv(4096):  # the server closes after replying
+                response += chunk
+        head, _, body = response.partition(b"\r\n\r\n")
+        assert head.split(b"\r\n")[0].split()[1] == b"400"
+        assert json.loads(body)["error"]["code"] == "bad_request"
+        # The handler thread is free again: the server answers the next request.
+        assert _get(f"{server.url}/healthz")["status"] == "ok"
 
     def test_unknown_route_404(self, server):
         with pytest.raises(urllib.error.HTTPError) as excinfo:

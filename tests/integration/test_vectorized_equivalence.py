@@ -1,14 +1,15 @@
 """Vectorized-vs-scalar equivalence on a seeded synthetic world.
 
-The matrix-backed index must return *identical* results — same entity sets,
-degrees within 1e-9 — to the scalar reference oracle for every query shape:
+The served matrix-backed index must return *identical* results — same entity
+sets, degrees within 1e-9 — to the scalar :class:`ReferenceTagIndex` for
+every query shape:
 exact ``lookup``, Algorithm-1 ``lookup_similar``, and the full
 ``filter_and_rank`` conversational path.
 """
 
 import pytest
 
-from repro.core import OracleExtractor, Saccs, SaccsConfig, SubjectiveTag
+from repro.core import OracleExtractor, ReferenceTagIndex, Saccs, SaccsConfig, SubjectiveTag
 from repro.data import WorldConfig, build_world
 from repro.text import ConceptualSimilarity, restaurant_lexicon
 
@@ -19,14 +20,17 @@ def world():
 
 
 def _build_saccs(world, backend, **config_kwargs):
+    """A built facade over the served index, or over the scalar reference."""
     similarity = ConceptualSimilarity(restaurant_lexicon())
-    saccs = Saccs(
-        world.entities,
-        world.reviews,
-        OracleExtractor(),
-        similarity,
-        SaccsConfig(backend=backend, **config_kwargs),
-    )
+    config = SaccsConfig(**config_kwargs)
+    saccs = Saccs(world.entities, world.reviews, OracleExtractor(), similarity, config)
+    if backend == "scalar":
+        saccs.index = ReferenceTagIndex(
+            similarity,
+            theta_index=config.theta_index,
+            review_count_mode=config.review_count_mode,
+            theta_mode=config.theta_mode,
+        )
     saccs.build_index([SubjectiveTag.from_text(d.name) for d in world.dimensions])
     return saccs
 

@@ -47,6 +47,15 @@ class TestParser:
         assert args.paths == ["src", "tests"]
         assert args.format == "json"
 
+    @pytest.mark.parametrize("command", [["serve"], ["bench-index"]])
+    @pytest.mark.parametrize("value", ["0", "-2", "two"])
+    def test_shards_must_be_a_positive_int(self, command, value, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args([*command, "--shards", value])
+        assert excinfo.value.code == 2
+        assert "--shards" in capsys.readouterr().err
+        assert build_parser().parse_args([*command, "--shards", "3"]).shards in (3, [3])
+
     def test_serve_collector_knobs(self):
         args = build_parser().parse_args(["serve"])
         assert args.no_collector is False
@@ -101,7 +110,7 @@ class TestParser:
 class TestCommands:
     def test_full_workflow(self, tmp_path, capsys):
         world_path = str(tmp_path / "world.json")
-        index_path = str(tmp_path / "index.json")
+        index_path = str(tmp_path / "index")
         assert main(["world", "generate", "--entities", "10", "--reviews", "5",
                      "--out", world_path]) == 0
         assert main(["world", "show", "--path", world_path]) == 0
@@ -120,22 +129,29 @@ class TestCommands:
 
     def test_custom_tags_index(self, tmp_path, capsys):
         world_path = str(tmp_path / "world.json")
-        index_path = str(tmp_path / "index.json")
+        index_path = str(tmp_path / "index")
         main(["world", "generate", "--entities", "8", "--reviews", "4", "--out", world_path])
         main(["index", "build", "--world", world_path, "--out", index_path,
               "--tags", "delicious food", "nice staff"])
         assert "indexed 2 tags" in capsys.readouterr().out
-        payload = json.loads((tmp_path / "index.json").read_text())
-        assert set(payload["entries"]) == {"delicious food", "nice staff"}
+        manifest = json.loads((tmp_path / "index" / "manifest.json").read_text())
+        assert manifest["index_tags"] == [["food", "delicious"], ["staff", "nice"]]
 
     def test_unindexed_tag_combines_similar(self, tmp_path, capsys):
         world_path = str(tmp_path / "world.json")
-        index_path = str(tmp_path / "index.json")
+        index_path = str(tmp_path / "index")
         main(["world", "generate", "--entities", "8", "--reviews", "4", "--out", world_path])
         main(["index", "build", "--world", world_path, "--out", index_path,
               "--tags", "delicious food"])
         main(["search", "--world", world_path, "--index", index_path, "tasty pasta"])
         assert "combined similar tags" in capsys.readouterr().out
+
+    def test_search_without_a_snapshot_fails_cleanly(self, tmp_path, capsys):
+        world_path = str(tmp_path / "world.json")
+        main(["world", "generate", "--entities", "8", "--reviews", "4", "--out", world_path])
+        missing = str(tmp_path / "no-index")
+        assert main(["search", "--world", world_path, "--index", missing, "tasty pasta"]) == 1
+        assert "cannot load index snapshot" in capsys.readouterr().err
 
     def test_datasets_listing(self, capsys):
         assert main(["datasets"]) == 0
@@ -145,7 +161,7 @@ class TestCommands:
 
     def test_dynamic_theta_mode(self, tmp_path, capsys):
         world_path = str(tmp_path / "world.json")
-        index_path = str(tmp_path / "index.json")
+        index_path = str(tmp_path / "index")
         main(["world", "generate", "--entities", "8", "--reviews", "4", "--out", world_path])
         assert main(["index", "build", "--world", world_path, "--out", index_path,
                      "--theta-mode", "dynamic", "--tags", "delicious food"]) == 0
@@ -245,6 +261,28 @@ class TestServeSnapshotWarmStart:
         assert warm.index.lookup_similar_batch(
             queries, theta_filter=0.6
         ) == cold.index.lookup_similar_batch(queries, theta_filter=0.6)
+
+    def test_v2_snapshot_falls_back_to_cold_build(self, tmp_path, capsys):
+        from repro.cli import _build_serving_saccs
+        from repro.core.snapshot import MANIFEST_NAME, _manifest_hash
+
+        snapdir = tmp_path / "snap"
+        _build_serving_saccs(self._args(snapdir))
+        manifest_path = snapdir / MANIFEST_NAME
+        manifest = json.loads(manifest_path.read_text())
+        manifest["format_version"] = 2
+        manifest["snapshot_sha256"] = _manifest_hash(manifest)
+        manifest_path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+
+        saccs, note = _build_serving_saccs(self._args(snapdir))
+        out = capsys.readouterr().out
+        assert "snapshot unusable (snapshot format_version 2" in out
+        assert "wrote snapshot" in out  # re-blessed in the current format
+        assert note is None
+        assert saccs.index.tags
+        _, warm_note = _build_serving_saccs(self._args(snapdir))
+        assert warm_note is not None
 
     def test_corrupt_snapshot_falls_back_to_cold_build(self, tmp_path, capsys):
         from repro.cli import _build_serving_saccs

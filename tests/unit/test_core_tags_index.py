@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import (
     FilterConfig,
+    ReferenceTagIndex,
     SubjectiveTag,
     SubjectiveTagIndex,
     aggregate_scores,
@@ -127,7 +128,7 @@ class TestIndex:
         with pytest.raises(ValueError):
             SubjectiveTagIndex(similarity, review_count_mode="sometimes")
         with pytest.raises(ValueError):
-            SubjectiveTagIndex(similarity, backend="gpu")
+            SubjectiveTagIndex(similarity, num_shards=0)
 
     def test_snippet_renders(self, similarity):
         index = SubjectiveTagIndex(similarity)
@@ -148,7 +149,7 @@ class TestIndex:
 
 
 class TestVectorizedBackend:
-    """The matrix-backed index must agree with the scalar reference oracle."""
+    """The matrix-backed index must agree with the scalar reference index."""
 
     REVIEWS = {
         "good_place": [["delicious food"], ["tasty food", "nice staff"], ["good food"]],
@@ -158,8 +159,8 @@ class TestVectorizedBackend:
     }
     INDEX_TAGS = ("delicious food", "good food", "nice staff", "amazing pizza")
 
-    def _build(self, similarity, backend, **kwargs):
-        index = SubjectiveTagIndex(similarity, backend=backend, **kwargs)
+    def _build(self, similarity, index_class, **kwargs):
+        index = index_class(similarity, **kwargs)
         for entity_id, reviews in self.REVIEWS.items():
             _register(index, entity_id, reviews)
         index.build([SubjectiveTag.from_text(t) for t in self.INDEX_TAGS])
@@ -169,8 +170,8 @@ class TestVectorizedBackend:
     @pytest.mark.parametrize("review_count_mode", ["matched", "all"])
     def test_lookup_matches_scalar(self, similarity, theta_mode, review_count_mode):
         kwargs = {"theta_mode": theta_mode, "review_count_mode": review_count_mode}
-        vectorized = self._build(similarity, "vectorized", **kwargs)
-        scalar = self._build(similarity, "scalar", **kwargs)
+        vectorized = self._build(similarity, SubjectiveTagIndex, **kwargs)
+        scalar = self._build(similarity, ReferenceTagIndex, **kwargs)
         for text in self.INDEX_TAGS:
             tag = SubjectiveTag.from_text(text)
             expected = scalar.lookup(tag)
@@ -180,8 +181,8 @@ class TestVectorizedBackend:
                 assert actual[entity_id] == pytest.approx(degree, abs=1e-9)
 
     def test_lookup_similar_matches_scalar(self, similarity):
-        vectorized = self._build(similarity, "vectorized")
-        scalar = self._build(similarity, "scalar")
+        vectorized = self._build(similarity, SubjectiveTagIndex)
+        scalar = self._build(similarity, ReferenceTagIndex)
         queries = [
             SubjectiveTag.from_text("really tasty food"),
             SubjectiveTag.from_text("super friendly staff"),
@@ -195,7 +196,7 @@ class TestVectorizedBackend:
                 assert actual[entity_id] == pytest.approx(value, abs=1e-9)
 
     def test_batch_matches_singles(self, similarity):
-        index = self._build(similarity, "vectorized")
+        index = self._build(similarity, SubjectiveTagIndex)
         queries = [
             SubjectiveTag.from_text("really tasty food"),
             SubjectiveTag.from_text("awesome pizza"),
@@ -209,7 +210,7 @@ class TestVectorizedBackend:
                 assert combined[entity_id] == pytest.approx(value, abs=1e-9)
 
     def test_vocabulary_interns_review_and_index_tags(self, similarity):
-        index = self._build(similarity, "vectorized")
+        index = self._build(similarity, SubjectiveTagIndex)
         assert SubjectiveTag.from_text("delicious food") in index.vocab
         assert SubjectiveTag.from_text("cozy atmosphere") in index.vocab
 
@@ -225,9 +226,9 @@ class TestVectorizedBackend:
         assert not index._threshold_cache
 
     def test_entities_registered_after_tag_not_backfilled(self, similarity):
-        # Mappings are fixed at add_tag time in both backends.
-        for backend in ("vectorized", "scalar"):
-            index = SubjectiveTagIndex(similarity, backend=backend)
+        # Mappings are fixed at add_tag time in both indexes.
+        for index_class in (SubjectiveTagIndex, ReferenceTagIndex):
+            index = index_class(similarity)
             _register(index, "early", [["delicious food"]] * 2)
             tag = SubjectiveTag.from_text("delicious food")
             index.add_tag(tag)

@@ -9,12 +9,14 @@ from repro.core import (
     OracleExtractor,
     Saccs,
     SaccsConfig,
+    ReferenceTagIndex,
+    SnapshotVersionError,
     SubjectiveTag,
     SubjectiveTagIndex,
     UserProfile,
-    load_index,
+    load_snapshot,
     personalized_rank,
-    save_index,
+    save_snapshot,
 )
 from repro.data import (
     FraudConfig,
@@ -244,9 +246,8 @@ class TestIndexIO:
         index.register_entity("e1", [[SubjectiveTag.from_text("delicious food")]] * 4)
         index.register_entity("e2", [[SubjectiveTag.from_text("nice staff")]] * 4)
         index.build([SubjectiveTag.from_text("delicious food"), SubjectiveTag.from_text("nice staff")])
-        path = tmp_path / "index.json"
-        save_index(index, path)
-        loaded = load_index(path, similarity)
+        save_snapshot(index, tmp_path / "index")
+        loaded = load_snapshot(tmp_path / "index", similarity)
         tag = SubjectiveTag.from_text("delicious food")
         assert loaded.lookup(tag) == index.lookup(tag)
         # later indexing rounds still work from the stored entity tags
@@ -254,40 +255,42 @@ class TestIndexIO:
         assert "e1" in loaded.lookup(SubjectiveTag.from_text("tasty food"))
 
     def test_version_check(self, tmp_path, similarity):
-        path = tmp_path / "bad.json"
-        path.write_text('{"format_version": 999}')
-        with pytest.raises(ValueError):
-            load_index(path, similarity)
+        (tmp_path / "manifest.json").write_text('{"format_version": 999}')
+        with pytest.raises(SnapshotVersionError):
+            load_snapshot(tmp_path, similarity)
 
     def test_missing_version_fails_loudly(self, tmp_path, similarity):
-        path = tmp_path / "bad.json"
-        path.write_text('{"tags": []}')
-        with pytest.raises(ValueError, match="format version"):
-            load_index(path, similarity)
+        (tmp_path / "manifest.json").write_text('{"index_tags": []}')
+        with pytest.raises(SnapshotVersionError, match="format_version"):
+            load_snapshot(tmp_path, similarity)
 
     def test_vectorized_roundtrip_rebuilds_matrices(self, tmp_path, similarity):
-        """A reloaded vectorized index answers lookup_similar exactly as before."""
-        index = SubjectiveTagIndex(similarity, backend="vectorized")
-        index.register_entity("e1", [[SubjectiveTag.from_text("delicious food")]] * 5)
-        index.register_entity("e2", [[SubjectiveTag.from_text("nice staff")],
-                                     [SubjectiveTag.from_text("delicious food")]])
-        index.build([SubjectiveTag.from_text("delicious food"),
-                     SubjectiveTag.from_text("nice staff")])
+        """A reloaded index answers lookup_similar exactly as before."""
+        reviews = {
+            "e1": [[SubjectiveTag.from_text("delicious food")]] * 5,
+            "e2": [[SubjectiveTag.from_text("nice staff")],
+                   [SubjectiveTag.from_text("delicious food")]],
+        }
+        tags = [SubjectiveTag.from_text("delicious food"), SubjectiveTag.from_text("nice staff")]
+        index = SubjectiveTagIndex(similarity)
+        reference = ReferenceTagIndex(similarity)
+        for built in (index, reference):
+            for entity_id, per_review in reviews.items():
+                built.register_entity(entity_id, per_review)
+            built.build(tags)
         unknown = SubjectiveTag.from_text("really tasty food")
         before_similar = index.lookup_similar(unknown, theta_filter=0.6)
         before_known = index.lookup(SubjectiveTag.from_text("delicious food"))
 
-        path = tmp_path / "index.json"
-        save_index(index, path)
-        loaded = load_index(path, similarity, backend="vectorized")
+        save_snapshot(index, tmp_path / "index")
+        loaded = load_snapshot(tmp_path / "index", similarity)
 
-        # matrices are rebuilt lazily from the snapshot; answers are exact
+        # the degree matrix is restored verbatim; answers are exact
         assert loaded.lookup(SubjectiveTag.from_text("delicious food")) == before_known
         assert loaded.lookup_similar(unknown, theta_filter=0.6) == before_similar
-        # the scalar oracle agrees on the reloaded state too
-        scalar = load_index(path, similarity, backend="scalar")
+        # the scalar reference agrees with the reloaded state too
         reloaded = loaded.lookup_similar(unknown, theta_filter=0.6)
-        oracle = scalar.lookup_similar(unknown, theta_filter=0.6)
+        oracle = reference.lookup_similar(unknown, theta_filter=0.6)
         assert set(reloaded) == set(oracle)
         for entity_id, value in oracle.items():
             assert reloaded[entity_id] == pytest.approx(value, abs=1e-9)
