@@ -8,8 +8,8 @@ rules encode the repo conventions:
   (``self._*``) attributes inside ``with <lock>:`` — except in ``__init__``
   (the object is not yet shared) and in ``*_locked`` helpers (called with
   the lock already held, per the naming convention in ``SessionStore``);
-* worker/batcher threads must be daemonic so a crashed caller cannot leave
-  the process wedged on join;
+* worker threads must be daemonic so a crashed caller cannot leave the
+  process wedged on join;
 * check-then-act sequences on shared flags (``if self._running: ...`` then
   ``self._running = x``) must happen atomically under the lock.
 """

@@ -203,8 +203,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     saccs, snapshot_note = _build_serving_saccs(args)
     config = ServeConfig(
         max_batch_size=args.max_batch_size,
-        max_wait_ms=args.max_wait_ms,
-        workers=args.workers,
         cache_size=args.cache_size,
         session_ttl_seconds=args.session_ttl,
         collector_enabled=not args.no_collector,
@@ -387,8 +385,6 @@ def _cmd_bench_serve(args: argparse.Namespace) -> int:
         entities=args.entities,
         mean_reviews=args.reviews,
         max_batch_size=args.max_batch_size,
-        max_wait_ms=args.max_wait_ms,
-        workers=args.workers,
         progress=print,
     )
     header = f"{'batching':<10}{'clients':>8}{'rps':>10}{'p50 ms':>9}{'p95 ms':>9}{'batch':>7}"
@@ -435,7 +431,6 @@ def _cmd_bench_extract(args: argparse.Namespace) -> int:
         entities=args.entities,
         mean_reviews=args.reviews,
         batch_sentences=args.batch_sentences,
-        pairing_workers=args.workers,
         train_epochs=args.train_epochs,
         progress=print,
     )
@@ -452,8 +447,8 @@ def _cmd_bench_extract(args: argparse.Namespace) -> int:
             f"{cache['hit_ratio'] * 100:>11.1f}%"
         )
     print(
-        f"bucketed+parallel over sequential: "
-        f"{speedup['bucketed_parallel']:.2f}x; warm-cache reingest: "
+        f"bucketed over sequential: "
+        f"{speedup['bucketed']:.2f}x; warm-cache reingest: "
         f"{speedup['warm_cache']:.2f}x at "
         f"{payload['summary']['warm_cache_hit_ratio'] * 100:.1f}% hits"
     )
@@ -749,9 +744,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--seed", type=int, default=2021)
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8350)
-    serve.add_argument("--workers", type=int, default=2)
-    serve.add_argument("--max-batch-size", type=int, default=16)
-    serve.add_argument("--max-wait-ms", type=float, default=2.0)
+    serve.add_argument("--max-batch-size", type=_positive_int, default=16)
     serve.add_argument("--cache-size", type=int, default=4096)
     serve.add_argument("--session-ttl", type=float, default=1800.0)
     serve.add_argument(
@@ -903,9 +896,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench_serve.add_argument("--requests", type=int, default=60, help="requests per client")
     bench_serve.add_argument("--entities", type=int, default=60)
     bench_serve.add_argument("--reviews", type=float, default=10.0)
-    bench_serve.add_argument("--workers", type=int, default=2)
-    bench_serve.add_argument("--max-batch-size", type=int, default=16)
-    bench_serve.add_argument("--max-wait-ms", type=float, default=2.0)
+    bench_serve.add_argument("--max-batch-size", type=_positive_int, default=16)
     bench_serve.add_argument("--output", help="record path (default: ./BENCH_serve.json)")
     bench_serve.set_defaults(func=_cmd_bench_serve)
 
@@ -917,10 +908,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench_extract.add_argument("--entities", type=int, default=60)
     bench_extract.add_argument("--reviews", type=float, default=10.0)
     bench_extract.add_argument(
-        "--batch-sentences", type=int, default=128, help="sentences per length bucket"
-    )
-    bench_extract.add_argument(
-        "--workers", type=int, default=4, help="pairing pool threads (0 = serial)"
+        "--batch-sentences", type=_positive_int, default=128, help="sentences per length bucket"
     )
     bench_extract.add_argument(
         "--train-epochs", type=int, default=2, help="tagger warm-up epochs before timing"

@@ -302,7 +302,7 @@ def _availability_section(
     # search does real index work, so the idle p99 reflects the serving
     # path rather than a cache hit, and the during-rebuild ratio measures
     # interference instead of scheduler noise.
-    config = ServeConfig(max_batch_size=1, max_wait_ms=0.0, workers=2, cache_size=0)
+    config = ServeConfig(max_batch_size=1, cache_size=0)
     queries = [
         [dims[(i + j * 3) % len(dims)] for j in range(4)]
         + [SubjectiveTag(dims[(i + 9) % len(dims)].aspect, "really wonderful")]
@@ -312,7 +312,7 @@ def _availability_section(
     during: List[float] = []
     generations: List[int] = []
     with SaccsRuntime(saccs, config) as runtime:
-        for i in range(32):  # warm-up: matrix caches, thread pools
+        for i in range(32):  # warm-up: matrix caches
             runtime.search(queries[i % len(queries)])
         _say(progress, f"availability: {samples} idle searches")
         for i in range(samples):

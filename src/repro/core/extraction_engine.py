@@ -13,13 +13,9 @@ extraction pass around the corpus instead of the review:
 2. **Batch decode** — each bucket's emissions go through the vectorized
    batch Viterbi (:meth:`repro.nn.crf.LinearChainCRF.decode_batch`): one
    ``(B, T, L)`` max-plus recurrence instead of a per-sentence Python loop.
-3. **Parallel pairing** — the CPU-bound pairing stage (parse trees +
-   heuristics / classifier) fans out across a thread pool; results come
-   back in submission order, so output is deterministic regardless of
-   worker count.  Only enable workers for state-free pairers (the tree /
-   word-distance heuristics and the classifier); the attention heuristic
-   runs an encoder forward per sentence and mutates shared model state, so
-   it must stay serial.
+3. **Serial pairing** — the pairing stage (parse trees + heuristics /
+   classifier) runs sentence by sentence in stream order; at ~1% of
+   ingest time it is too small for a thread pool to pay for itself.
 4. **Incremental re-extraction** — an LRU :class:`ExtractionCache` keyed by
    a content hash of each review's sentence tokens.  Re-ingesting after a
    small corpus change (``Saccs.rebuild_index`` / ``/admin/reindex`` with
@@ -39,11 +35,8 @@ seeded world; ``repro bench-extract`` re-checks it on every run.
 
 from __future__ import annotations
 
-import contextvars
 import hashlib
-import threading
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -63,8 +56,6 @@ class ExtractionEngineConfig:
 
     #: sentences per length bucket — the encoder forward's batch size.
     batch_sentences: int = 64
-    #: pairing pool size; 0 or 1 keeps the pairing stage serial.
-    pairing_workers: int = 0
     #: cache extracted tags per review content hash (incremental reingest).
     cache_enabled: bool = True
     #: retained cache entries (reviews); oldest-used entries are evicted.
@@ -78,8 +69,6 @@ class ExtractionEngineConfig:
     def __post_init__(self):
         if self.batch_sentences < 1:
             raise ValueError("batch_sentences must be >= 1")
-        if self.pairing_workers < 0:
-            raise ValueError("pairing_workers must be >= 0")
         if self.cache_capacity < 1:
             raise ValueError("cache_capacity must be >= 1")
         from repro.nn.infer import PRECISIONS
@@ -144,10 +133,10 @@ class ExtractionCache:
 
 
 class ExtractionEngine:
-    """Bucketed, parallel, cache-aware driver around one extractor.
+    """Bucketed, cache-aware wrapper around one extractor.
 
     Works with both extractor kinds: the neural :class:`TagExtractor` gets
-    the full bucketed tagging + parallel pairing pipeline; the
+    the full bucketed tagging + serial pairing pipeline; the
     :class:`OracleExtractor` (no encoder to batch) keeps its per-review
     gold read but still benefits from the cache on reingest.
     """
@@ -237,48 +226,16 @@ class ExtractionEngine:
         sentences: Sequence[Sequence[str]],
         labels: Sequence[Sequence[str]],
     ) -> List[List[SubjectiveTag]]:
-        """Pairing stage over tagged sentences, optionally fanned out.
-
-        ``ThreadPoolExecutor.map`` returns results in submission order, so
-        the output is deterministic for any worker count.
-        """
+        """Pairing stage over tagged sentences, in stream order."""
         pairer = self.extractor.pairer
-
-        def pair_one(i: int) -> List[SubjectiveTag]:
-            tokens = sentences[i]
-            aspect_spans, opinion_spans = labels_to_spans(labels[i])
-            return _pairs_to_tags(tokens, pairer.pair(tokens, aspect_spans, opinion_spans))
-
-        workers = self.config.pairing_workers
-        total = len(sentences)
         with self.timings.span("pair"):
-            if workers > 1 and total > 1:
-                # Contiguous chunks (a few per worker) keep dispatch overhead
-                # off the per-sentence path; extending in chunk order keeps
-                # the output deterministic.
-                chunk = max(1, -(-total // (workers * 4)))
-                starts = list(range(0, total, chunk))
-                # One context copy per submitted chunk, made here in the
-                # submitting thread: pool workers inherit the active trace
-                # group (a Context cannot be entered concurrently, so the
-                # copies must be distinct).
-                contexts = [contextvars.copy_context() for _ in starts]
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    parts = pool.map(
-                        lambda job: job[0].run(
-                            lambda start: [
-                                pair_one(i)
-                                for i in range(start, min(start + chunk, total))
-                            ],
-                            job[1],
-                        ),
-                        zip(contexts, starts),
-                    )
-                    out: List[List[SubjectiveTag]] = []
-                    for part in parts:
-                        out.extend(part)
-                    return out
-            return [pair_one(i) for i in range(total)]
+            out: List[List[SubjectiveTag]] = []
+            for tokens, sentence_labels in zip(sentences, labels):
+                aspect_spans, opinion_spans = labels_to_spans(sentence_labels)
+                out.append(
+                    _pairs_to_tags(tokens, pairer.pair(tokens, aspect_spans, opinion_spans))
+                )
+            return out
 
     # ------------------------------------------------------------------ reviews
 

@@ -89,8 +89,6 @@ class SaccsConfig:
     extraction_mode: str = "bucketed"
     #: sentences per extraction length bucket (one encoder forward each).
     extraction_batch_sentences: int = 64
-    #: pairing worker threads for the extraction engine (0/1 = serial).
-    extraction_workers: int = 0
     #: cache extracted tags per review content hash, making
     #: :meth:`Saccs.rebuild_index` after small corpus edits incremental.
     extraction_cache: bool = True
@@ -119,7 +117,6 @@ class SaccsConfig:
     def extraction_config(self) -> ExtractionEngineConfig:
         return ExtractionEngineConfig(
             batch_sentences=self.extraction_batch_sentences,
-            pairing_workers=self.extraction_workers,
             cache_enabled=self.extraction_cache,
             encoder_precision=self.encoder_precision,
         )

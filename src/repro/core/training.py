@@ -72,7 +72,7 @@ class TaggerTrainer:
         if not sentences:
             raise ValueError("no training sentences")
         rng = np.random.default_rng(self.config.seed)
-        batches = self._bucketed_batches(sentences)
+        batches = self._length_buckets(sentences)
         self.tagger.train()
         try:
             for _ in range(self.config.epochs):
@@ -87,7 +87,7 @@ class TaggerTrainer:
             self.tagger.eval()
         return self.history
 
-    def _bucketed_batches(self, sentences: Sequence[LabeledSentence]) -> List[List[LabeledSentence]]:
+    def _length_buckets(self, sentences: Sequence[LabeledSentence]) -> List[List[LabeledSentence]]:
         """Group length-sorted sentences to minimise padding waste."""
         ordered = sorted(sentences, key=lambda s: len(s.tokens))
         size = self.config.batch_size

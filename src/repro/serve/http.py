@@ -20,7 +20,8 @@ Stdlib only (:mod:`http.server`).  Endpoints:
 Every response is JSON; errors use the uniform envelope from
 :func:`repro.serve.protocol.error_payload`.  The server is a
 ``ThreadingHTTPServer`` — each connection gets a thread, and concurrency
-control lives in the runtime (micro-batcher + per-session locks), not here.
+control lives in the runtime (one batching worker + per-session locks), not
+here.
 """
 
 from __future__ import annotations
@@ -137,7 +138,9 @@ def make_handler(runtime: SaccsRuntime):
             self.end_headers()
             self.wfile.write(body)
 
-        def _read_json(self):
+        def _read_json(self, required: bool = True):
+            """The request body as JSON; ``required=False`` reads an absent
+            body (no or zero ``Content-Length``) as ``{}``."""
             header = self.headers.get("Content-Length") or "0"
             try:
                 length = int(header)
@@ -154,6 +157,8 @@ def make_handler(runtime: SaccsRuntime):
                 raise ProtocolError(
                     f"request body over {MAX_BODY_BYTES} bytes", status=413, code="too_large"
                 )
+            if not length and not required:
+                return {}
             raw = self.rfile.read(length) if length else b""
             if not raw:
                 raise ProtocolError("empty request body")
@@ -246,8 +251,7 @@ def make_handler(runtime: SaccsRuntime):
             # {"full": true} → re-extract the corpus and rebuild first;
             # {"background": true} → double-buffered rebuild (searches keep
             # serving; the replacement index swaps in atomically).
-            length = int(self.headers.get("Content-Length") or 0)
-            body = self._read_json() if length else {}
+            body = self._read_json(required=False)
             if not isinstance(body, dict):
                 raise ProtocolError("reindex body must be a JSON object")
             full = body.get("full", False)

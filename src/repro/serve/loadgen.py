@@ -3,7 +3,7 @@
 Drives an in-process :class:`~repro.serve.runtime.SaccsRuntime` with N
 client threads, each issuing its next request only after the previous one
 resolves (closed loop).  Cells sweep client counts × micro-batching on/off,
-so the record directly answers "does the batcher pay for itself under
+so the record directly answers "does batching pay for itself under
 concurrency?".  Caching is disabled (``cache_size=0``) during load so the
 measurement isolates scheduler effects from cache hits.
 
@@ -100,8 +100,6 @@ def _run_cell(
     requests_per_client: int,
     batching: bool,
     max_batch_size: int,
-    max_wait_ms: float,
-    workers: int,
     seed: int,
     traced: bool = False,
     sample_every: int = TRACE_SAMPLE_EVERY_DEFAULT,
@@ -112,8 +110,6 @@ def _run_cell(
 
     config = ServeConfig(
         max_batch_size=max_batch_size if batching else 1,
-        max_wait_ms=max_wait_ms if batching else 0.0,
-        workers=workers,
         cache_size=0,  # isolate scheduler effects from cache hits
         # Off in the sweep cells (isolate scheduler effects); the dedicated
         # overhead cells turn it on at an aggressive cadence.
@@ -168,8 +164,6 @@ def _run_cell(
         "traced": traced,
         "collector": collector,
         "max_batch_size": config.max_batch_size,
-        "max_wait_ms": config.max_wait_ms,
-        "workers": workers,
         "requests": total,
         "wall_seconds": wall_seconds,
         "throughput_rps": total / wall_seconds,
@@ -194,8 +188,6 @@ def run_load_benchmark(
     mean_reviews: float = 10.0,
     pool_size: int = 16,
     max_batch_size: int = 16,
-    max_wait_ms: float = 2.0,
-    workers: int = 2,
     overhead_repeats: int = 3,
     progress=None,
 ) -> Dict[str, object]:
@@ -223,8 +215,6 @@ def run_load_benchmark(
                     requests_per_client=requests_per_client,
                     batching=batching,
                     max_batch_size=max_batch_size,
-                    max_wait_ms=max_wait_ms,
-                    workers=workers,
                     seed=seed,
                 )
             )
@@ -267,8 +257,6 @@ def run_load_benchmark(
                 requests_per_client=requests_per_client * 16,
                 batching=True,
                 max_batch_size=max_batch_size,
-                max_wait_ms=max_wait_ms,
-                workers=workers,
                 seed=seed,
                 traced=traced,
             )
@@ -302,8 +290,6 @@ def run_load_benchmark(
                 requests_per_client=requests_per_client * 16,
                 batching=True,
                 max_batch_size=max_batch_size,
-                max_wait_ms=max_wait_ms,
-                workers=workers,
                 seed=seed,
                 collector=collector,
             )

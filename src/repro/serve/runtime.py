@@ -1,19 +1,18 @@
-"""The serving runtime: queue → micro-batcher → worker pool → cache → facade.
+"""The serving runtime: queue → one worker → cache → facade.
 
 :class:`SaccsRuntime` owns one :class:`~repro.core.saccs.Saccs` facade and
 turns it into a concurrent service.  The pipeline:
 
 1. ``search()`` checks the ranking cache (generation-stamped; a reindex
    invalidates deterministically) and otherwise enqueues the request.
-2. A **batcher** thread drains the queue into micro-batches — up to
-   ``max_batch_size`` requests, waiting at most ``max_wait_ms`` for
-   stragglers once the first request arrives (a batch size of 1 never
-   waits).
-3. **Worker** threads execute whole batches under the facade lock: the
-   batch's distinct tag queries share one
+2. One **worker** thread blocks for a request, then takes whatever else is
+   already queued (up to ``max_batch_size``) without waiting, and runs that
+   batch under the facade lock: the batch's distinct tag queries share one
    :meth:`~repro.core.saccs.Saccs.answer_many` fold (duplicate concurrent
    queries are computed once), per-request results are sliced, cached and
-   resolved.
+   resolved.  While the worker holds the facade lock, requests pile up in
+   the queue, so batches form under load with no timer, and a request
+   that arrives alone runs at once.
 
 Equivalence guarantee: because the similarity kernel evaluates small blocks
 row-stationary and :meth:`answer_many` keeps per-request semantics,
@@ -22,9 +21,10 @@ sequential :meth:`Saccs.answer_tags` / :meth:`Saccs.answer` calls — the
 integration tests assert this with concurrent clients.
 
 The facade lock serialises index access (the facade mutates shared state:
-user tag history, lazy matrices, vocabulary).  Micro-batching is what makes
-that serialisation cheap: N concurrent requests cost one lock round-trip,
-one scheduler wake-up and one index fold instead of N.
+user tag history, lazy matrices, vocabulary), so a second worker could
+only wait on it.  Micro-batching is what makes that serialisation cheap: N
+requests queued behind a busy worker cost one lock round-trip, one
+scheduler wake-up and one index fold instead of N.
 """
 
 from __future__ import annotations
@@ -68,10 +68,6 @@ class ServeConfig:
 
     #: micro-batch ceiling; 1 disables batching (each request its own batch).
     max_batch_size: int = 16
-    #: how long the batcher waits for stragglers after the first request.
-    max_wait_ms: float = 2.0
-    #: worker threads executing batches.
-    workers: int = 2
     #: entries per cache level; 0 disables caching.
     cache_size: int = 4096
     #: idle session time-to-live.
@@ -97,10 +93,10 @@ class ServeConfig:
     def __post_init__(self):
         if self.max_batch_size < 1:
             raise ValueError("max_batch_size must be >= 1")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
-        if self.max_wait_ms < 0:
-            raise ValueError("max_wait_ms must be >= 0")
+        if self.cache_size < 0:
+            raise ValueError("cache_size must be >= 0")
+        if self.request_timeout_seconds <= 0:
+            raise ValueError("request_timeout_seconds must be > 0")
         if self.rebuild_pace_seconds < 0:
             raise ValueError("rebuild_pace_seconds must be >= 0")
         if self.collector_interval_seconds <= 0:
@@ -134,7 +130,7 @@ class _Pending:
         self.api_entity_ids = api_entity_ids
         self.utterance = utterance
         self.tokens = tokens
-        #: root span of the requesting trace; carried across the batcher
+        #: root span of the requesting trace; carried across the queue
         #: hand-off so the worker can attribute its stages to this request.
         self.ctx: Optional[obs.ActiveSpan] = None
         self.enqueued_at = 0.0
@@ -184,7 +180,7 @@ class SaccsRuntime:
         #: extractor state are shared and not thread-safe).
         self._facade_lock = make_rlock("serve.runtime.facade")
         #: serialises start/stop: concurrent callers must not double-spawn
-        #: or double-drain the scheduler threads.
+        #: or double-drain the worker thread.
         self._lifecycle_lock = make_lock("serve.runtime.lifecycle")
         #: serialises whole reindex operations.  Background rebuilds hold
         #: this (never the facade lock) for the build, so two admins can't
@@ -197,8 +193,7 @@ class SaccsRuntime:
         # this runtime's /metrics (extract.cache.{hit,miss} → ratio rollup).
         saccs.extraction_engine.bind_metrics(self.metrics)
         self._queue: "queue.Queue" = queue.Queue()
-        self._batches: "queue.Queue" = queue.Queue()
-        self._threads: List[threading.Thread] = []
+        self._worker: Optional[threading.Thread] = None
         self._running = False
         # Continuous telemetry: the SLO monitor exists regardless (its specs
         # describe targets, not machinery) but only the collector thread
@@ -221,20 +216,10 @@ class SaccsRuntime:
             if self._running:
                 return self
             self._running = True
-            batcher = threading.Thread(
-                target=self._batcher_loop, name="saccs-batcher", daemon=True
+            self._worker = threading.Thread(
+                target=self._worker_loop, name="saccs-worker", daemon=True
             )
-            self._threads = [batcher]
-            for worker_id in range(self.config.workers):
-                self._threads.append(
-                    threading.Thread(
-                        target=self._worker_loop,
-                        name=f"saccs-worker-{worker_id}",
-                        daemon=True,
-                    )
-                )
-            for thread in self._threads:
-                thread.start()
+            self._worker.start()
             if self.collector is not None:
                 self.collector.start()
         return self
@@ -255,11 +240,10 @@ class SaccsRuntime:
             # lifecycle lock over the sentinel is what makes stop()
             # idempotent against a concurrent start().
             self._queue.put(_STOP)
-            threads, self._threads = self._threads, []
+            worker, self._worker = self._worker, None
         # Join outside the lock: a wedged worker must not block a concurrent
         # start/stop caller for the full drain timeout.
-        for thread in threads:
-            thread.join(timeout=5.0)
+        worker.join(timeout=5.0)
 
     def __enter__(self) -> "SaccsRuntime":
         return self.start()
@@ -279,7 +263,7 @@ class SaccsRuntime:
         top_k: Optional[int] = None,
         _api_entity_ids: Optional[Tuple[str, ...]] = None,
     ) -> SearchResponse:
-        """Rank entities for ``tags`` through the batched pipeline."""
+        """Rank entities for ``tags`` through the worker's batches."""
         if not self._running:
             raise RuntimeError("runtime is not started (use `with SaccsRuntime(...)`)")
         self.metrics.incr("requests.search")
@@ -306,7 +290,7 @@ class SaccsRuntime:
                 return self._enqueue_and_wait(pending)
 
     def _enqueue_and_wait(self, pending: _Pending) -> SearchResponse:
-        """Queue one request for the batcher and block on its resolution."""
+        """Queue one request for the worker and block on its resolution."""
         active = obs.current_span()
         if active is not None:
             pending.ctx = active
@@ -331,10 +315,10 @@ class SaccsRuntime:
         Byte-identical to :meth:`Saccs.answer` — the objective slot
         filtering and the extractor run exactly as the facade would, with
         the extracted tags cached per (utterance, generation).  On a tags
-        cache miss the *utterance itself* rides the micro-batch queue:
-        the worker extracts every utterance in the batch through the
-        extraction engine's bucketed path, so concurrent ``/search``
-        utterances share one encoder forward instead of tagging one by one.
+        cache miss the *utterance itself* rides the request queue: the
+        worker extracts every utterance in its batch through the extraction
+        engine's bucketed path, so utterances queued together share one
+        encoder forward instead of tagging one by one.
         """
         if not isinstance(self.saccs.extractor, TagExtractor):
             raise ProtocolError(
@@ -639,44 +623,28 @@ class SaccsRuntime:
 
     # -------------------------------------------------------------- scheduler
 
-    def _batcher_loop(self) -> None:
-        """Drain the request queue into micro-batches."""
+    def _worker_loop(self) -> None:
+        """Run queued requests in batches until a ``_STOP`` arrives.
+
+        Blocks for one request, then takes whatever is already queued, up
+        to ``max_batch_size``, without waiting for more.  A ``_STOP``
+        drained mid-batch goes back on the queue, so the batch in hand
+        still runs before the loop exits.
+        """
         while True:
             item = self._queue.get()
             if item is _STOP:
-                for _ in range(self.config.workers):
-                    self._batches.put(_STOP)
                 return
             batch = [item]
-            if self.config.max_batch_size > 1:
-                deadline = None
-                while len(batch) < self.config.max_batch_size:
-                    try:
-                        if deadline is None:
-                            # First top-up attempt: take whatever is already
-                            # queued without blocking, then start the clock.
-                            extra = self._queue.get_nowait()
-                        else:
-                            remaining = deadline - time.monotonic()
-                            if remaining <= 0:
-                                break
-                            extra = self._queue.get(timeout=remaining)
-                    except queue.Empty:
-                        if deadline is None and self.config.max_wait_ms > 0:
-                            deadline = time.monotonic() + self.config.max_wait_ms / 1000.0
-                            continue
-                        break
-                    if extra is _STOP:
-                        self._queue.put(_STOP)
-                        break
-                    batch.append(extra)
-            self._batches.put(batch)
-
-    def _worker_loop(self) -> None:
-        while True:
-            batch = self._batches.get()
-            if batch is _STOP:
-                return
+            while len(batch) < self.config.max_batch_size:
+                try:
+                    extra = self._queue.get_nowait()
+                except queue.Empty:
+                    break
+                if extra is _STOP:
+                    self._queue.put(_STOP)
+                    break
+                batch.append(extra)
             try:
                 self._execute_batch(batch)
             except BaseException as exc:  # resolve waiters, keep serving
@@ -686,7 +654,7 @@ class SaccsRuntime:
                         pending.reject(exc)
 
     def _execute_batch(self, batch: List[_Pending]) -> None:
-        """Run one micro-batch under the facade lock.
+        """Run one batch under the facade lock.
 
         Utterance requests are tagged first — every distinct utterance in
         the batch goes through one bucketed

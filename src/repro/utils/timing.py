@@ -51,7 +51,8 @@ class StageTimings:
     The extraction engine wraps its ingest stages (encode / decode / pair /
     register) in :meth:`span` blocks; bench records export :meth:`as_dict`
     so stage shares are readable straight off ``BENCH_*.json``.  Recording
-    is lock-protected — pairing workers report from pool threads.
+    is lock-protected — a background rebuild and the serving worker can
+    record into one engine's timings at the same time.
 
     With ``span_prefix`` set this doubles as a thin compatibility shim over
     :mod:`repro.obs` spans: every :meth:`add` additionally records a

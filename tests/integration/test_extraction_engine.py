@@ -57,12 +57,10 @@ def flat_reviews(world):
 
 
 class TestEngineEquivalence:
-    def test_bucketed_parallel_matches_sequential_per_review(self, extractor, flat_reviews):
+    def test_bucketed_matches_sequential_per_review(self, extractor, flat_reviews):
         # Tiny buckets force sentences from different reviews to share
-        # forwards; 3 workers exercise the pairing pool.
-        engine = ExtractionEngine(
-            extractor, ExtractionEngineConfig(batch_sentences=5, pairing_workers=3)
-        )
+        # forwards; pairing then runs serially over the flattened stream.
+        engine = ExtractionEngine(extractor, ExtractionEngineConfig(batch_sentences=5))
         expected = [extractor.extract_review(review) for review in flat_reviews]
         assert engine.extract_reviews(flat_reviews) == expected
         # Multiset equality per review follows from list equality, but state
@@ -80,7 +78,7 @@ class TestEngineEquivalence:
         sequential.build_index(tags)
         bucketed = Saccs(
             world.entities, world.reviews, extractor, similarity,
-            SaccsConfig(extraction_batch_sentences=16, extraction_workers=2),
+            SaccsConfig(extraction_batch_sentences=16),
         )
         bucketed.build_index(tags)
         assert bucketed.index._entity_tags == sequential.index._entity_tags
@@ -146,7 +144,7 @@ class TestRuntimeUtteranceBatching:
             SaccsConfig(),
         )
         saccs.build_index([SubjectiveTag.from_text(d.name) for d in world.dimensions])
-        with SaccsRuntime(saccs, ServeConfig(max_batch_size=8, max_wait_ms=20.0)) as rt:
+        with SaccsRuntime(saccs, ServeConfig(max_batch_size=8)) as rt:
             yield rt
 
     def test_concurrent_utterances_share_batches_and_match_facade(self, runtime):
@@ -200,27 +198,17 @@ class TestBenchExtractSmoke:
             entities=6,
             mean_reviews=3.0,
             batch_sentences=16,
-            pairing_workers=2,
             train_epochs=1,
         )
         # The internal witness check already raised if any variant diverged.
         assert payload["equivalent"] is True
-        assert set(payload["variants"]) == {
-            "sequential",
-            "bucketed",
-            "bucketed_parallel",
-            "warm_cache",
-        }
+        assert set(payload["variants"]) == {"sequential", "bucketed", "warm_cache"}
         for variant in payload["variants"].values():
             assert variant["ingest_seconds"] > 0.0
         stages = payload["variants"]["bucketed"]["stages"]
         assert {"encode", "decode", "pair", "register"} <= set(stages)
         assert payload["summary"]["warm_cache_hit_ratio"] == pytest.approx(1.0)
-        assert set(payload["summary"]["speedup"]) == {
-            "bucketed",
-            "bucketed_parallel",
-            "warm_cache",
-        }
+        assert set(payload["summary"]["speedup"]) == {"bucketed", "warm_cache"}
 
         path = write_extract_record(payload, output=str(tmp_path / "BENCH_extract.json"))
         import json

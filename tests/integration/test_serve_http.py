@@ -1,7 +1,7 @@
 """Integration tests for the serving runtime and its HTTP frontend.
 
 The load-bearing property: rankings served through the concurrent,
-micro-batched pipeline are **byte-identical** to what a single-threaded
+batching worker are **byte-identical** to what a single-threaded
 :class:`~repro.core.saccs.Saccs` oracle computes for the same queries —
 including across an ``/admin/reindex`` generation bump (no stale cache may
 survive the index moving).
@@ -10,6 +10,7 @@ survive the index moving).
 import json
 import socket
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -84,7 +85,7 @@ class TestConcurrentEquivalence:
 
         runtime = SaccsRuntime(
             _oracle_saccs(world),
-            ServeConfig(max_batch_size=8, max_wait_ms=5.0, workers=2, cache_size=64),
+            ServeConfig(max_batch_size=8, cache_size=64),
         )
         with SaccsHttpServer(runtime) as server:
             per_thread = [None] * 8
@@ -108,15 +109,65 @@ class TestConcurrentEquivalence:
                 # json round-trips floats exactly (shortest-repr), so this
                 # equality is bitwise on every score.
                 assert response["results"] == want
-        # concurrency actually exercised the batcher
+        # concurrency actually exercised the worker's batches
         assert batch_hist is None or batch_hist["max"] >= 1
+
+    def test_requests_queued_behind_a_busy_worker_run_as_one_batch(self, world):
+        """While the worker waits on the facade lock, new requests queue up;
+        it then runs all of them as one batch, with no straggler timer."""
+        queries = QUERIES + [["quick service"], ["friendly staff"], ["cheap price"]]
+        oracle = _oracle_saccs(world)
+        expected = [
+            oracle.answer_tags([SubjectiveTag.from_text(t) for t in q]) for q in queries
+        ]
+        runtime = SaccsRuntime(
+            _oracle_saccs(world), ServeConfig(cache_size=0, collector_enabled=False)
+        )
+        in_batch = threading.Event()
+        execute_batch = runtime._execute_batch
+
+        def observed_execute_batch(batch):
+            in_batch.set()
+            execute_batch(batch)
+
+        runtime._execute_batch = observed_execute_batch
+        responses = [None] * len(queries)
+
+        def search(i):
+            tags = [SubjectiveTag.from_text(t) for t in queries[i]]
+            responses[i] = runtime.search(tags)
+
+        threads = [threading.Thread(target=search, args=(i,)) for i in range(len(queries))]
+        with runtime:
+            with runtime._facade_lock:
+                # The first request becomes a batch of one; the worker then
+                # blocks on the facade lock while the rest queue behind it.
+                threads[0].start()
+                assert in_batch.wait(5.0)
+                for thread in threads[1:]:
+                    thread.start()
+                deadline = time.monotonic() + 5.0
+                while runtime.health()["queue_depth"] < len(queries) - 1:
+                    assert time.monotonic() < deadline, "requests never queued up"
+                    time.sleep(0.001)
+            for thread in threads:
+                thread.join(timeout=10.0)
+            batch_hist = runtime.metrics_snapshot()["histograms"]["batch.size"]
+
+        assert batch_hist["count"] == 2
+        assert batch_hist["max"] == len(queries) - 1
+        assert [r.batch_size for r in responses] == [1] + [len(queries) - 1] * (
+            len(queries) - 1
+        )
+        for response, want in zip(responses, expected):
+            assert list(response.results) == list(want)
 
     def test_rankings_stay_exact_across_reindex(self, world):
         """The generation bump invalidates caches: no pre-reindex ranking leaks."""
         oracle = _oracle_saccs(world)
         served = _oracle_saccs(world)
         runtime = SaccsRuntime(
-            served, ServeConfig(max_batch_size=4, max_wait_ms=2.0, workers=2, cache_size=64)
+            served, ServeConfig(max_batch_size=4, cache_size=64)
         )
         unknown = ["really delicious food"]
         with SaccsHttpServer(runtime) as server:
@@ -149,7 +200,7 @@ class TestConcurrentEquivalence:
         served = _oracle_saccs(world)
         before_oracle = _oracle_saccs(world)
         runtime = SaccsRuntime(
-            served, ServeConfig(max_batch_size=4, max_wait_ms=1.0, workers=2, cache_size=64)
+            served, ServeConfig(max_batch_size=4, cache_size=64)
         )
         query = ["really delicious food"]
         tag = SubjectiveTag.from_text(query[0])
@@ -223,23 +274,36 @@ class TestHttpSurface:
             urllib.request.urlopen(request)
         assert excinfo.value.code == 400
 
-    @pytest.mark.parametrize("content_length", ["abc", "-1"])
-    def test_bad_content_length_is_a_client_error(self, server, content_length):
+    @staticmethod
+    def _assert_bad_content_length_rejected(server, path, content_length, body):
         request = (
-            "POST /search HTTP/1.1\r\nHost: test\r\n"
-            f"Content-Length: {content_length}\r\n\r\n"
-            '{"tags": ["delicious food"]}'
+            f"POST {path} HTTP/1.1\r\nHost: test\r\n"
+            f"Content-Length: {content_length}\r\n\r\n{body}"
         ).encode("ascii")
         with socket.create_connection((server.host, server.port), timeout=5.0) as sock:
             sock.sendall(request)
             response = b""
             while chunk := sock.recv(4096):  # the server closes after replying
                 response += chunk
-        head, _, body = response.partition(b"\r\n\r\n")
+        head, _, payload = response.partition(b"\r\n\r\n")
         assert head.split(b"\r\n")[0].split()[1] == b"400"
-        assert json.loads(body)["error"]["code"] == "bad_request"
+        assert json.loads(payload)["error"]["code"] == "bad_request"
         # The handler thread is free again: the server answers the next request.
         assert _get(f"{server.url}/healthz")["status"] == "ok"
+
+    @pytest.mark.parametrize("content_length", ["abc", "-1"])
+    def test_bad_content_length_is_a_client_error(self, server, content_length):
+        self._assert_bad_content_length_rejected(
+            server, "/search", content_length, '{"tags": ["delicious food"]}'
+        )
+
+    @pytest.mark.parametrize("content_length", ["abc", "-1"])
+    def test_bad_content_length_on_reindex_is_a_client_error(self, server, content_length):
+        generation = _get(f"{server.url}/healthz")["generation"]
+        self._assert_bad_content_length_rejected(
+            server, "/admin/reindex", content_length, "{}"
+        )
+        assert _get(f"{server.url}/healthz")["generation"] == generation
 
     def test_unknown_route_404(self, server):
         with pytest.raises(urllib.error.HTTPError) as excinfo:

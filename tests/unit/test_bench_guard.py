@@ -199,7 +199,7 @@ class TestCommittedRecords:
             pytest.skip("BENCH_extract.json not generated yet (run repro bench-extract)")
         payload = json.loads(path.read_text())
         assert payload["equivalent"] is True
-        assert payload["summary"]["speedup"]["bucketed_parallel"] >= 3.0
+        assert payload["summary"]["speedup"]["bucketed"] >= 3.0
         assert payload["summary"]["warm_cache_hit_ratio"] == pytest.approx(1.0)
 
     def test_index_record_meets_the_bar(self):

@@ -56,6 +56,38 @@ class TestParser:
         assert "--shards" in capsys.readouterr().err
         assert build_parser().parse_args([*command, "--shards", "3"]).shards in (3, [3])
 
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            (["serve"], "--max-batch-size"),
+            (["bench-serve"], "--max-batch-size"),
+            (["bench-extract"], "--batch-sentences"),
+        ],
+    )
+    @pytest.mark.parametrize("value", ["0", "-2", "two"])
+    def test_batch_sizes_must_be_positive_ints(self, command, flag, value, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args([*command, flag, value])
+        assert excinfo.value.code == 2
+        assert flag in capsys.readouterr().err
+        args = build_parser().parse_args([*command, flag, "3"])
+        assert getattr(args, flag[2:].replace("-", "_")) == 3
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            (["serve"], "--workers"),
+            (["serve"], "--max-wait-ms"),
+            (["bench-serve"], "--workers"),
+            (["bench-serve"], "--max-wait-ms"),
+            (["bench-extract"], "--workers"),
+        ],
+    )
+    def test_scheduler_pool_flags_are_gone(self, command, flag):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args([*command, flag, "2"])
+        assert excinfo.value.code == 2
+
     def test_serve_collector_knobs(self):
         args = build_parser().parse_args(["serve"])
         assert args.no_collector is False

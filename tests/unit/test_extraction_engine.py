@@ -102,15 +102,6 @@ class TestBucketedExtraction:
         flattened = [length for batch in batches for length in batch]
         assert flattened == sorted(flattened)
 
-    def test_parallel_pairing_is_deterministic(self):
-        serial = ExtractionEngine(
-            fake_extractor(), ExtractionEngineConfig(pairing_workers=0)
-        ).extract_reviews(REVIEWS)
-        parallel = ExtractionEngine(
-            fake_extractor(), ExtractionEngineConfig(pairing_workers=4)
-        ).extract_reviews(REVIEWS)
-        assert serial == parallel
-
     def test_extract_corpus_splits_per_entity(self):
         extractor = fake_extractor()
         engine = ExtractionEngine(extractor, ExtractionEngineConfig(batch_sentences=2))
@@ -202,8 +193,6 @@ class TestConfigValidation:
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
             ExtractionEngineConfig(batch_sentences=0)
-        with pytest.raises(ValueError):
-            ExtractionEngineConfig(pairing_workers=-1)
         with pytest.raises(ValueError):
             ExtractionEngineConfig(cache_capacity=0)
         with pytest.raises(ValueError):

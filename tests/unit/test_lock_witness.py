@@ -213,9 +213,7 @@ def _build_runtime():
     dims = [SubjectiveTag.from_text(d.name) for d in world.dimensions]
     saccs.build_index(dims)
     config = ServeConfig(
-        workers=2,
         max_batch_size=1,
-        max_wait_ms=0.0,
         cache_size=32,
         rebuild_pace_seconds=0.0,
     )

@@ -385,14 +385,13 @@ class TestServeConfig:
     def test_defaults_are_sane(self):
         config = ServeConfig()
         assert config.max_batch_size >= 1
-        assert config.workers >= 1
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"max_batch_size": 0},
-            {"workers": 0},
-            {"max_wait_ms": -1.0},
+            {"cache_size": -1},
+            {"request_timeout_seconds": 0.0},
             {"rebuild_pace_seconds": -0.001},
             {"collector_interval_seconds": 0.0},
             {"collector_retention": 0},
@@ -425,17 +424,15 @@ class _StubSaccs:
 
 def _scheduler_threads():
     return [
-        thread
-        for thread in threading.enumerate()
-        if thread.name.startswith(("saccs-batcher", "saccs-worker"))
+        thread for thread in threading.enumerate() if thread.name == "saccs-worker"
     ]
 
 
 class TestRuntimeLifecycle:
     """Regression tests for the lock-discipline fixes in SaccsRuntime.
 
-    start()/stop() used to test-and-set self._running and rebuild
-    self._threads without a lock (flagged by `unguarded-attr-write` and
+    start()/stop() used to test-and-set self._running and replace the
+    scheduler threads without a lock (flagged by `unguarded-attr-write` and
     `check-then-act`); racing callers could double-spawn the scheduler or
     drop live threads.  Both now serialise on the lifecycle lock.
     """
@@ -443,7 +440,7 @@ class TestRuntimeLifecycle:
     def test_concurrent_start_spawns_exactly_one_scheduler(self):
         from repro.serve import SaccsRuntime
 
-        runtime = SaccsRuntime(_StubSaccs(), ServeConfig(workers=2))
+        runtime = SaccsRuntime(_StubSaccs(), ServeConfig())
         before = len(_scheduler_threads())
         barrier = threading.Barrier(8)
 
@@ -457,9 +454,9 @@ class TestRuntimeLifecycle:
         for thread in racers:
             thread.join(timeout=5.0)
         try:
-            # One batcher + `workers` workers, regardless of racing callers.
-            assert len(runtime._threads) == 3
-            assert len(_scheduler_threads()) - before == 3
+            # One worker, regardless of racing callers.
+            assert runtime._worker is not None and runtime._worker.is_alive()
+            assert len(_scheduler_threads()) - before == 1
         finally:
             runtime.stop()
 
@@ -467,7 +464,7 @@ class TestRuntimeLifecycle:
         from repro.serve import SaccsRuntime
 
         before = len(_scheduler_threads())
-        runtime = SaccsRuntime(_StubSaccs(), ServeConfig(workers=2)).start()
+        runtime = SaccsRuntime(_StubSaccs(), ServeConfig()).start()
         barrier = threading.Barrier(8)
 
         def racer():
@@ -479,20 +476,22 @@ class TestRuntimeLifecycle:
             thread.start()
         for thread in racers:
             thread.join(timeout=5.0)
-        assert runtime._threads == []
+        assert runtime._worker is None
         assert len(_scheduler_threads()) == before
 
     def test_restart_after_stop(self):
         from repro.serve import SaccsRuntime
 
-        runtime = SaccsRuntime(_StubSaccs(), ServeConfig(workers=1))
+        runtime = SaccsRuntime(_StubSaccs(), ServeConfig())
         runtime.start()
+        first = runtime._worker
         runtime.stop()
+        assert not first.is_alive()
         runtime.start()
         try:
             assert runtime.health()["status"] == "ok"
-            assert len(runtime._threads) == 2
-            assert all(thread.is_alive() for thread in runtime._threads)
+            assert runtime._worker is not first and runtime._worker.is_alive()
+            assert runtime._worker.name == "saccs-worker"
         finally:
             runtime.stop()
         assert runtime.health()["status"] == "stopped"
@@ -504,7 +503,6 @@ class TestRuntimeTelemetry:
     def make_runtime(self, **config_kwargs):
         from repro.serve import SaccsRuntime
 
-        config_kwargs.setdefault("workers", 1)
         return SaccsRuntime(_StubSaccs(), ServeConfig(**config_kwargs))
 
     def test_collector_thread_follows_the_lifecycle(self):
@@ -552,7 +550,7 @@ class TestRuntimeTelemetry:
             histogram="latency.say_seconds",
             threshold_ms=250.0,
         )
-        runtime = SaccsRuntime(_StubSaccs(), ServeConfig(workers=1), slos=[spec])
+        runtime = SaccsRuntime(_StubSaccs(), ServeConfig(), slos=[spec])
         (slo,) = runtime.slo_snapshot()["slos"]
         assert slo["name"] == "say-latency"
         assert slo["threshold_ms"] == 250.0
@@ -570,7 +568,7 @@ class TestRuntimeTelemetry:
 
         store = TraceStore(slow_threshold_seconds=0.0)  # everything is slow
         runtime = SaccsRuntime(
-            _StubSaccs(), ServeConfig(workers=1), tracer=Tracer(store=store)
+            _StubSaccs(), ServeConfig(), tracer=Tracer(store=store)
         )
         with runtime.tracer.trace("serve.search"):
             pass
@@ -589,8 +587,8 @@ class _AnswerableStubSaccs(_StubSaccs):
     """Stub facade that can answer tag queries through the batched path.
 
     ``_tag_sets_many`` returns no subjective signal, so ``filter_and_rank``
-    keeps the API order — enough to drive the full queue → batcher → worker
-    → resolve pipeline (and its tracing) without the neural stack.
+    keeps the API order — enough to drive the full queue → worker → resolve
+    pipeline (and its tracing) without the neural stack.
     """
 
     class _Config:
@@ -618,7 +616,7 @@ class TestRuntimeTracing:
 
         tracer = Tracer(store=TraceStore(slow_threshold_seconds=0.0))
         runtime = SaccsRuntime(
-            _AnswerableStubSaccs(), ServeConfig(workers=1), tracer=tracer
+            _AnswerableStubSaccs(), ServeConfig(), tracer=tracer
         )
         return runtime, SubjectiveTag("food", "delicious")
 
@@ -685,7 +683,7 @@ class TestRuntimeTracing:
     def test_untraced_runtime_exposes_disabled_debug_surface(self):
         from repro.serve import SaccsRuntime
 
-        runtime = SaccsRuntime(_AnswerableStubSaccs(), ServeConfig(workers=1))
+        runtime = SaccsRuntime(_AnswerableStubSaccs(), ServeConfig())
         assert runtime.tracer.enabled is False
         assert runtime.traces_snapshot() == {
             "enabled": False,
@@ -730,9 +728,7 @@ class TestBackgroundReindex:
         dims = [SubjectiveTag.from_text(d.name) for d in world.dimensions]
         saccs.build_index(dims)
         config = ServeConfig(
-            workers=2,
             max_batch_size=1,
-            max_wait_ms=0.0,
             cache_size=cache_size,
             rebuild_pace_seconds=pace_seconds,
         )
