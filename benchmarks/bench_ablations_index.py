@@ -28,6 +28,7 @@ from benchmarks.common import (
     bench_queries,
     bench_reviews,
     print_table,
+    write_bench_record,
 )
 from repro.core import OracleExtractor, Saccs, SaccsConfig, SubjectiveTag
 from repro.data import (
@@ -125,7 +126,7 @@ def test_scalar_vs_vectorized_index(benchmark):
     dense legacy combine, snapshot round-trip rankings identical, and
     search p99 during a background rebuild ≤3× idle.
     """
-    from repro.core.bench_index import run_index_benchmark, write_index_record
+    from repro.core.bench_index import run_index_benchmark
 
     sizes = bench_index_workload()
     payload = run_index_benchmark(
@@ -150,7 +151,7 @@ def test_scalar_vs_vectorized_index(benchmark):
             for name, cell in cells.items()
         ],
     )
-    record_path = write_index_record(payload)
+    record_path = write_bench_record("index", payload)
     print(f"wrote {record_path}")
     assert payload["max_abs_delta"] <= 1e-9
     assert speedup["total"] >= 5.0

@@ -28,7 +28,6 @@ properties documented in DESIGN.md §4.
 
 from __future__ import annotations
 
-import json
 import os
 from pathlib import Path
 from typing import Dict, List, Mapping, Sequence
@@ -95,21 +94,16 @@ def write_bench_record(name: str, payload: Mapping[str, object]) -> Path:
     """Persist a benchmark result as ``BENCH_<name>.json``.
 
     Records land in the repository root (override with
-    ``REPRO_BENCH_OUTPUT_DIR``) so successive runs are diffable artifacts.
-    Every record is stamped with the host environment so timings from
-    different machines are never compared blind.
+    ``REPRO_BENCH_OUTPUT_DIR``) so successive runs are diffable artifacts;
+    :func:`repro.utils.env.write_bench_record` stamps the host environment
+    and writes atomically.
     """
-    from repro.utils.env import environment_info
+    from repro.utils import env
 
-    out_dir = Path(os.environ.get("REPRO_BENCH_OUTPUT_DIR", Path(__file__).resolve().parent.parent))
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / f"BENCH_{name}.json"
-    record = dict(payload)
-    record.setdefault("environment", environment_info())
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
-    os.replace(tmp, path)
-    return path
+    output = None
+    if "REPRO_BENCH_OUTPUT_DIR" not in os.environ:
+        output = Path(__file__).resolve().parent.parent / f"BENCH_{name}.json"
+    return env.write_bench_record(name, payload, output=output)
 
 
 def print_table(title: str, header: Sequence[str], rows: Sequence[Sequence[object]]) -> None:

@@ -376,7 +376,8 @@ def _cmd_top(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench_serve(args: argparse.Namespace) -> int:
-    from repro.serve.loadgen import run_load_benchmark, write_serve_record
+    from repro.serve.loadgen import run_load_benchmark
+    from repro.utils.env import write_bench_record
 
     payload = run_load_benchmark(
         seed=args.seed,
@@ -418,13 +419,14 @@ def _cmd_bench_serve(args: argparse.Namespace) -> int:
         f"({collector['throughput_rps_collector_on']:.1f} on vs "
         f"{collector['throughput_rps_collector_off']:.1f} off rps)"
     )
-    path = write_serve_record(payload, args.output)
+    path = write_bench_record("serve", payload, args.output)
     print(f"wrote {path}")
     return 0
 
 
 def _cmd_bench_extract(args: argparse.Namespace) -> int:
-    from repro.core.extraction_bench import run_extraction_benchmark, write_extract_record
+    from repro.core.extraction_bench import run_extraction_benchmark
+    from repro.utils.env import write_bench_record
 
     payload = run_extraction_benchmark(
         seed=args.seed,
@@ -465,13 +467,14 @@ def _cmd_bench_extract(args: argparse.Namespace) -> int:
             f"{report['max_abs_error']:>12.2e}"
             f"{'=' if report['tags_identical'] else '!':>6}"
         )
-    path = write_extract_record(payload, args.output)
+    path = write_bench_record("extract", payload, args.output)
     print(f"wrote {path}")
     return 0
 
 
 def _cmd_bench_index(args: argparse.Namespace) -> int:
-    from repro.core.bench_index import run_index_benchmark, write_index_record
+    from repro.core.bench_index import run_index_benchmark
+    from repro.utils.env import write_bench_record
 
     payload = run_index_benchmark(
         seed=args.seed,
@@ -517,13 +520,14 @@ def _cmd_bench_index(args: argparse.Namespace) -> int:
         f"(ratio {availability['availability_ratio']:.2f}, "
         f"generation monotonic: {availability['generation_monotonic']})"
     )
-    path = write_index_record(payload, args.output)
+    path = write_bench_record("index", payload, args.output)
     print(f"wrote {path}")
     return 0
 
 
 def _cmd_bench_conv(args: argparse.Namespace) -> int:
-    from repro.conversation.bench import run_conv_benchmark, write_conv_record
+    from repro.conversation.bench import run_conv_benchmark
+    from repro.utils.env import write_bench_record
 
     payload = run_conv_benchmark(
         seed=args.seed,
@@ -554,7 +558,7 @@ def _cmd_bench_conv(args: argparse.Namespace) -> int:
         f"({coref['resolution_rate'] * 100:.1f}% resolved); "
         f"topic shifts: {payload['shifts']['detected']}"
     )
-    path = write_conv_record(payload, args.output)
+    path = write_bench_record("conv", payload, args.output)
     print(f"wrote {path}")
     return 0
 

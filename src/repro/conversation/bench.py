@@ -23,14 +23,11 @@ explicitly, so two runs on one machine produce identical route counts.
 
 from __future__ import annotations
 
-import json
-import os
-from pathlib import Path
 from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
-__all__ = ["build_conv_workload", "run_conv_benchmark", "write_conv_record"]
+__all__ = ["build_conv_workload", "run_conv_benchmark"]
 
 
 #: transcript archetypes; ``{city}``/``{alt_city}`` are filled per session.
@@ -100,10 +97,19 @@ def _restore_extract(saccs, counter: Dict[str, int]) -> None:
     counter.pop("_original", None)
 
 
-def _run_workload(saccs, workload: List[List[str]], stage_factory) -> Dict[str, int]:
-    """Play every transcript through fresh sessions; return extract-call count."""
-    from repro.core.session import ConversationSession
+def _run_workload(saccs, workload: List[List[str]], stage_factory) -> Dict[str, float]:
+    """Play every transcript through fresh sessions; return extract calls
+    and wall seconds.
 
+    The pass is timed by a root span that is never activated: the tracer
+    measures the pass, while the spans inside it stay untraced, so the
+    stage-on and stage-off passes pay the same (zero) tracing cost.
+    """
+    from repro.core.session import ConversationSession
+    from repro.obs.tracing import Tracer
+
+    tracer = Tracer()
+    root = tracer.begin("bench.conv.pass")
     counter = _count_extract_calls(saccs)
     try:
         for transcript in workload:
@@ -113,7 +119,7 @@ def _run_workload(saccs, workload: List[List[str]], stage_factory) -> Dict[str, 
     finally:
         calls = counter["calls"]
         _restore_extract(saccs, counter)
-    return {"calls": calls}
+    return {"calls": calls, "seconds": tracer.finish(root)["duration_seconds"]}
 
 
 def _check_subjective_equivalence(saccs) -> Dict[str, object]:
@@ -198,7 +204,6 @@ def run_conv_benchmark(
     from repro.serve.metrics import MetricsRegistry
     from repro.text import ConceptualSimilarity, restaurant_lexicon
     from repro.utils.env import environment_info
-    from repro.utils.timing import Timer
 
     say = progress or (lambda _msg: None)
     say(f"building world: {entities} entities, ~{mean_reviews} reviews each")
@@ -220,18 +225,16 @@ def run_conv_benchmark(
     total_turns = sum(len(transcript) for transcript in workload)
 
     say(f"stage-off pass: {sessions} sessions x {turns} turns")
-    with Timer() as off_timer:
-        off = _run_workload(saccs, workload, lambda: None)
+    off = _run_workload(saccs, workload, lambda: None)
 
     say("stage-on pass")
     metrics = MetricsRegistry()
     lexicon = saccs.similarity.lexicon
-    with Timer() as on_timer:
-        on = _run_workload(
-            saccs,
-            workload,
-            lambda: ConversationStage(lexicon=lexicon, metrics=metrics),
-        )
+    on = _run_workload(
+        saccs,
+        workload,
+        lambda: ConversationStage(lexicon=lexicon, metrics=metrics),
+    )
 
     snapshot = metrics.snapshot()
     counters = snapshot.get("counters", {})
@@ -281,24 +284,9 @@ def run_conv_benchmark(
             "extractor_call_reduction": reduction,
         },
         "seconds": {
-            "stage_off": off_timer.elapsed,
-            "stage_on": on_timer.elapsed,
+            "stage_off": off["seconds"],
+            "stage_on": on["seconds"],
         },
         "equivalence": equivalence,
         "environment": environment_info(),
     }
-
-
-def write_conv_record(payload: Dict[str, object], output: Optional[str] = None) -> Path:
-    """Persist the payload as ``BENCH_conv.json`` (same contract as the
-    benchmark harness: ``REPRO_BENCH_OUTPUT_DIR`` overrides the directory)."""
-    if output is not None:
-        path = Path(output)
-    else:
-        out_dir = Path(os.environ.get("REPRO_BENCH_OUTPUT_DIR", "."))
-        path = out_dir / "BENCH_conv.json"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    os.replace(tmp, path)
-    return path

@@ -25,12 +25,9 @@ Four sections over one seeded synthetic workload, recorded to
 
 from __future__ import annotations
 
-import json
-import os
 import tempfile
 import threading
 import time
-from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -40,7 +37,7 @@ from repro.core.snapshot import load_snapshot, save_snapshot
 from repro.core.tags import SubjectiveTag
 from repro.text import ConceptualSimilarity, restaurant_lexicon
 
-__all__ = ["run_index_benchmark", "write_index_record"]
+__all__ = ["run_index_benchmark"]
 
 Progress = Optional[Callable[[str], None]]
 
@@ -425,23 +422,3 @@ def run_index_benchmark(
         "availability": availability,
     }
     return payload
-
-
-def write_index_record(payload: Dict[str, object], output: Optional[str] = None) -> Path:
-    """Persist the payload as ``BENCH_index.json`` (same contract as the
-    benchmark harness: ``REPRO_BENCH_OUTPUT_DIR`` overrides the directory)."""
-    from repro.utils.env import environment_info
-
-    record = dict(payload)
-    record.setdefault("environment", environment_info())
-    if output is not None:
-        path = Path(output)
-    else:
-        out_dir = Path(os.environ.get("REPRO_BENCH_OUTPUT_DIR", "."))
-        path = out_dir / "BENCH_index.json"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    data = json.dumps(record, indent=2, sort_keys=True) + "\n"
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(data)
-    os.replace(tmp, path)
-    return path

@@ -18,8 +18,11 @@ report of each precision against the float64 tape oracle.  Full bucketed
 ingests at float32 and int8 round out the tag-identity witness.
 
 Every variant's extracted tags are checked **identical** per entity/review
-before speedups are reported, and the record embeds the engine's stage
-spans (encode / decode / pair / register) so the win is attributable.
+before speedups are reported.  Every timed ingest runs inside one trace,
+and the record folds that trace's ``extract.*`` spans into per-stage
+``{seconds, calls}`` (encode / decode / pair / register) so the win is
+attributable — the same spans serving traces and ``stage.*_seconds``
+histograms carry, for every variant alike.
 ``benchmarks/check_bench.py`` guards the recorded speedups against
 regressions in the tier-1 flow — including a 3.0 floor on the
 ``encode_speedup`` cells.
@@ -27,9 +30,7 @@ regressions in the tier-1 flow — including a 3.0 floor on the
 
 from __future__ import annotations
 
-import json
-import os
-from pathlib import Path
+import time
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -40,11 +41,11 @@ from repro.core.heuristics import TreePairingHeuristic
 from repro.core.saccs import Saccs, SaccsConfig
 from repro.core.tags import SubjectiveTag
 from repro.data import WorldConfig, build_tagging_dataset, build_world
+from repro.obs import tracing as obs
 from repro.text import ChunkParser, ConceptualSimilarity, PosLexicon, restaurant_lexicon
 from repro.utils.env import environment_info
-from repro.utils.timing import Timer
 
-__all__ = ["build_bench_extractor", "run_extraction_benchmark", "write_extract_record"]
+__all__ = ["build_bench_extractor", "run_extraction_benchmark"]
 
 
 def build_bench_extractor(seed: int = 21, train_epochs: int = 2) -> TagExtractor:
@@ -78,6 +79,27 @@ def _make_saccs(world, extractor: TagExtractor, config: SaccsConfig) -> Saccs:
         ConceptualSimilarity(restaurant_lexicon()),
         config,
     )
+
+
+def _traced_ingest(saccs: Saccs) -> Tuple[float, Dict[str, Dict[str, float]]]:
+    """Ingest inside one trace; return its seconds and per-stage spans.
+
+    Stages are the trace's ``extract.<stage>`` spans folded by name (prefix
+    stripped) into ``{stage: {seconds, calls}}``.
+    """
+    tracer = obs.Tracer()
+    root = tracer.begin("bench.ingest")
+    with obs.scope([root]):
+        saccs.ingest_reviews()
+    trace = tracer.finish(root)
+    stages: Dict[str, Dict[str, float]] = {}
+    for item in trace["spans"]:
+        layer, _, stage = item["name"].partition(".")
+        if layer == "extract":
+            folded = stages.setdefault(stage, {"seconds": 0.0, "calls": 0})
+            folded["seconds"] += item["duration_seconds"]
+            folded["calls"] += 1
+    return trace["duration_seconds"], dict(sorted(stages.items()))
 
 
 def _extracted_tags(saccs: Saccs) -> Dict[str, List[Tuple[SubjectiveTag, ...]]]:
@@ -120,18 +142,18 @@ def _encode_benchmark(
     ]
 
     seconds: Dict[str, float] = {}
-    with Timer() as timer:
-        for bucket in buckets:
-            with no_grad():
-                tagger.emissions(bucket)
-    seconds["tape_float64"] = timer.elapsed
+    start = time.perf_counter()
+    for bucket in buckets:
+        with no_grad():
+            tagger.emissions(bucket)
+    seconds["tape_float64"] = time.perf_counter() - start
 
     for precision in PRECISIONS:
         model = tagger.inference_model(precision)
-        with Timer() as timer:
-            for bucket in buckets:
-                model.emissions(tagger.encoder.batch(bucket))
-        seconds[precision] = timer.elapsed
+        start = time.perf_counter()
+        for bucket in buckets:
+            model.emissions(tagger.encoder.batch(bucket))
+        seconds[precision] = time.perf_counter() - start
 
     # Tolerance report on the longest-sentence bucket (buckets are length
     # sorted): deepest recurrence and most accumulation steps, so it is the
@@ -196,11 +218,10 @@ def run_extraction_benchmark(
     for name, config in variant_configs.items():
         say(f"variant: {name} ...")
         saccs = _make_saccs(world, extractor, config)
-        with Timer() as timer:
-            saccs.ingest_reviews()
+        seconds, stages = _traced_ingest(saccs)
         variants[name] = {
-            "ingest_seconds": timer.elapsed,
-            "stages": saccs.extraction_engine.timings.as_dict(),
+            "ingest_seconds": seconds,
+            "stages": stages,
             "cache": saccs.extraction_engine.cache_stats(),
         }
         witnesses[name] = _extracted_tags(saccs)
@@ -209,18 +230,16 @@ def run_extraction_benchmark(
 
     say("variant: warm_cache (unchanged-corpus reingest) ...")
     assert warm_engine is not None
-    warm_engine.timings.reset()
     hits_before, misses_before = warm_engine.cache.hits, warm_engine.cache.misses
     warm_saccs = _make_saccs(world, extractor, variant_configs["bucketed"])
     warm_saccs.extraction_engine = warm_engine  # inherit the populated cache
-    with Timer() as timer:
-        warm_saccs.ingest_reviews()
+    seconds, stages = _traced_ingest(warm_saccs)
     warm_hits = warm_engine.cache.hits - hits_before
     warm_misses = warm_engine.cache.misses - misses_before
     warm_total = warm_hits + warm_misses
     variants["warm_cache"] = {
-        "ingest_seconds": timer.elapsed,
-        "stages": warm_engine.timings.as_dict(),
+        "ingest_seconds": seconds,
+        "stages": stages,
         "cache": {
             "enabled": True,
             "entries": len(warm_engine.cache),
@@ -245,12 +264,8 @@ def run_extraction_benchmark(
                 encoder_precision=precision,
             ),
         )
-        with Timer() as timer:
-            saccs.ingest_reviews()
-        precision_results[precision] = {
-            "ingest_seconds": timer.elapsed,
-            "stages": saccs.extraction_engine.timings.as_dict(),
-        }
+        seconds, stages = _traced_ingest(saccs)
+        precision_results[precision] = {"ingest_seconds": seconds, "stages": stages}
         witnesses[f"bucketed_{precision}"] = _extracted_tags(saccs)
 
     say("encode stage: tape vs fused per precision ...")
@@ -293,18 +308,3 @@ def run_extraction_benchmark(
         "equivalent": equivalent,
         "environment": environment_info(),
     }
-
-
-def write_extract_record(payload: Dict[str, object], output: Optional[str] = None) -> Path:
-    """Persist the payload as ``BENCH_extract.json`` (same contract as the
-    benchmark harness: ``REPRO_BENCH_OUTPUT_DIR`` overrides the directory)."""
-    if output is not None:
-        path = Path(output)
-    else:
-        out_dir = Path(os.environ.get("REPRO_BENCH_OUTPUT_DIR", "."))
-        path = out_dir / "BENCH_extract.json"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    os.replace(tmp, path)
-    return path

@@ -43,9 +43,9 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from repro.core.extractor import OracleExtractor, TagExtractor, _pairs_to_tags
 from repro.core.tags import SubjectiveTag
 from repro.data.schema import Review
+from repro.obs import tracing as obs
 from repro.text.labels import labels_to_spans
 from repro.utils.locks import make_lock
-from repro.utils.timing import StageTimings
 
 __all__ = ["ExtractionEngineConfig", "ExtractionCache", "ExtractionEngine"]
 
@@ -146,7 +146,6 @@ class ExtractionEngine:
         extractor,
         config: Optional[ExtractionEngineConfig] = None,
         metrics=None,
-        timings: Optional[StageTimings] = None,
     ):
         self.extractor = extractor
         self.config = config or ExtractionEngineConfig()
@@ -154,10 +153,6 @@ class ExtractionEngine:
         #: :class:`~repro.serve.metrics.MetricsRegistry` (duck-typed here to
         #: keep ``repro.core`` import-independent of ``repro.serve``).
         self.metrics = metrics
-        # The "extract." prefix mirrors every stage timing into the active
-        # request trace as a span (no-op when untraced), so serving span
-        # trees show encode/decode/pair without instrumenting the tagger.
-        self.timings = timings or StageTimings(span_prefix="extract.")
         self.cache: Optional[ExtractionCache] = (
             ExtractionCache(self.config.cache_capacity) if self.config.cache_enabled else None
         )
@@ -206,9 +201,7 @@ class ExtractionEngine:
             for start in range(0, len(order), cap):
                 bucket = order[start : start + cap]
                 predicted = tagger.predict(
-                    [list(sentences[i]) for i in bucket],
-                    timings=self.timings,
-                    precision=precision,
+                    [list(sentences[i]) for i in bucket], precision=precision
                 )
                 for slot, seq in zip(bucket, predicted):
                     labels[slot] = seq
@@ -228,7 +221,7 @@ class ExtractionEngine:
     ) -> List[List[SubjectiveTag]]:
         """Pairing stage over tagged sentences, in stream order."""
         pairer = self.extractor.pairer
-        with self.timings.span("pair"):
+        with obs.span("extract.pair"):
             out: List[List[SubjectiveTag]] = []
             for tokens, sentence_labels in zip(sentences, labels):
                 aspect_spans, opinion_spans = labels_to_spans(sentence_labels)

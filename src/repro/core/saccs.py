@@ -209,7 +209,7 @@ class Saccs:
             extracted = self.extraction_engine.extract_corpus(entity_reviews)
         if pace is not None:
             pace()
-        with self.extraction_engine.timings.span("register"):
+        with obs.span("extract.register"):
             for entity_id, per_review in extracted:
                 index.register_entity(entity_id, per_review)
                 if pace is not None:

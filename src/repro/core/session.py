@@ -37,6 +37,11 @@ __all__ = ["Turn", "ConversationSession"]
 _RESET_MARKERS = {"start over", "new search", "forget that", "reset"}
 _RETRACT_MARKERS = ("doesn't matter", "does not matter", "drop the", "forget the", "never mind the")
 
+#: turns a session keeps: every turn carries its ranked results, and a live
+#: session's TTL refreshes on every turn, so an unbounded list would grow
+#: for as long as the user keeps talking.  Ranking never reads ``turns``.
+MAX_TURNS = 20
+
 #: sentinel distinguishing "use the default stage" from an explicit ``None``.
 _DEFAULT_STAGE = object()
 
@@ -139,6 +144,7 @@ class ConversationSession:
                 resolved=utterance, route=ROUTE_CHITCHAT,
             )
             self.turns.append(turn)
+            del self.turns[:-MAX_TURNS]
             return turn
 
         removed = self._retractions(utterance)
@@ -187,6 +193,7 @@ class ConversationSession:
             resolved=resolved, route=route, shift=shift,
         )
         self.turns.append(turn)
+        del self.turns[:-MAX_TURNS]
         return turn
 
     # --------------------------------------------------------------- ranking

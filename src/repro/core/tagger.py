@@ -7,7 +7,6 @@ IOB sequence under learned (and IOB-grammar-constrained) transitions.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -17,8 +16,8 @@ from repro.bert.model import BatchEncoding
 from repro.nn import BiLSTM, Dropout, LinearChainCRF, Linear, Module
 from repro.nn.infer import PRECISIONS, InferenceModel
 from repro.nn.tensor import Tensor
+from repro.obs import tracing as obs
 from repro.text.labels import ID_TO_LABEL, LABEL_TO_ID, NUM_LABELS, forbidden_transitions, labels_to_spans
-from repro.utils.timing import StageTimings
 
 __all__ = ["SequenceTagger"]
 
@@ -131,7 +130,6 @@ class SequenceTagger(Module):
     def predict(
         self,
         sentences: Sequence[Sequence[str]],
-        timings: Optional["StageTimings"] = None,
         precision: Optional[str] = None,
     ) -> List[List[str]]:
         """IOB label sequences for a batch of tokenised sentences.
@@ -141,23 +139,22 @@ class SequenceTagger(Module):
         export is bitwise identical to the autograd forward, so the default
         behaviour is unchanged while skipping all tape construction.
 
-        ``timings`` (a :class:`~repro.utils.timing.StageTimings`) receives
-        ``encode`` (BERT→BiLSTM→projection forward) and ``decode`` (Viterbi
-        / argmax) spans — how the extraction engine attributes ingest time.
+        Opens ``extract.encode`` (BERT→BiLSTM→projection forward) and
+        ``extract.decode`` (Viterbi / argmax) spans in the active trace, so
+        every caller — the bucketed engine, the sequential ingest loop, a
+        conversation turn — is attributed the same way (no-ops untraced).
         """
         if not sentences:
             return []
         was_training = self.training
         self.eval()
         try:
-            encode_span = timings.span("encode") if timings is not None else nullcontext()
-            with encode_span:
+            with obs.span("extract.encode"):
                 model = self.inference_model(precision)
                 batch = self.encoder.batch(sentences)
                 scores = model.emissions(batch)
                 mask = batch.word_mask
-            decode_span = timings.span("decode") if timings is not None else nullcontext()
-            with decode_span:
+            with obs.span("extract.decode"):
                 if self.use_crf:
                     paths = self.crf.decode(
                         np.asarray(scores, dtype=np.float64), mask=mask, beam=self.decode_beam

@@ -39,7 +39,6 @@ from repro.obs.tracing import (
     annotate,
     current_group,
     current_span,
-    record,
     scope,
     span,
 )
@@ -64,7 +63,6 @@ __all__ = [
     "get_logger",
     "merge_traces",
     "profile_from_store",
-    "record",
     "render_profile",
     "render_profile_diff",
     "render_trace",

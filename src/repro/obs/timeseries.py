@@ -93,9 +93,9 @@ def _interval_histogram(
     and the point is stamped ``truncated`` so readers know the tail basis
     is partial (rates stay exact — they come from the cumulative count).
     """
-    # Imported lazily: repro.obs must stay importable without dragging in
-    # the full repro.serve package (utils.timing imports repro.obs during
-    # early package init, long before repro.serve can load).
+    # Imported lazily: importing repro.serve.metrics runs the repro.serve
+    # package init, whose runtime imports this module back from repro.obs —
+    # a top-level import here would cycle while repro.obs is half-loaded.
     from repro.serve.metrics import percentile
 
     truncated = count_delta > len(samples)

@@ -4,7 +4,7 @@ The serving stack answers "why was *this* request slow?" with per-request
 span trees.  Design constraints, in order:
 
 * **Zero cost when off.**  The default tracer is :class:`NullTracer`; the
-  module-level :func:`span` / :func:`record` / :func:`annotate` helpers do a
+  module-level :func:`span` / :func:`annotate` helpers do a
   single ``ContextVar.get`` and bail with a shared stateless no-op when no
   trace is active, so instrumented hot paths pay one dict-free branch.
 * **Deterministic ids.**  Trace ids come from a counter behind the tracer's
@@ -41,7 +41,6 @@ __all__ = [
     "annotate",
     "current_group",
     "current_span",
-    "record",
     "scope",
     "span",
 ]
@@ -126,7 +125,12 @@ class _TraceBuilder:
         end: float,
         attributes: Optional[Dict[str, Any]] = None,
     ) -> None:
-        """Record a span whose duration is already known (timing shims)."""
+        """Record a span whose duration is already known.
+
+        The only caller is :meth:`ActiveSpan.add_child`, which the serving
+        worker uses for ``serve.enqueue_wait``: the wait began on the
+        requester's thread, before the worker could open a span for it.
+        """
         with self._lock:
             if self._closed:
                 return
@@ -420,17 +424,6 @@ def scope(members: Sequence[Optional[ActiveSpan]]):
     if not present:
         return _NOOP
     return _Scope(present)
-
-
-def record(name: str, seconds: float, **attributes: Any) -> None:
-    """Record an already-measured child span ending now (timing shims)."""
-    group = _CURRENT.get()
-    if not group:
-        return
-    end = group[0].builder.clock()
-    start = end - max(0.0, seconds)
-    for member in group:
-        member.builder.add_span(name, member.span_id, start, end, attributes)
 
 
 def annotate(**attributes: Any) -> None:

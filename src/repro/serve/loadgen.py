@@ -16,12 +16,9 @@ micro-batching is built for.
 
 from __future__ import annotations
 
-import json
-import os
 import threading
 import time
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.core import OracleExtractor, Saccs, SaccsConfig, SubjectiveTag
 from repro.data import WorldConfig, build_world
@@ -36,7 +33,6 @@ __all__ = [
     "COLLECTOR_INTERVAL_BENCH",
     "TRACE_SAMPLE_EVERY_DEFAULT",
     "run_load_benchmark",
-    "write_serve_record",
 ]
 
 #: (batching?, client threads) cells, in run order.
@@ -320,18 +316,3 @@ def run_load_benchmark(
         "summary": summary,
         "environment": environment_info(),
     }
-
-
-def write_serve_record(payload: Dict[str, object], output: Optional[str] = None) -> Path:
-    """Persist the payload as ``BENCH_serve.json`` (same contract as the
-    benchmark harness: ``REPRO_BENCH_OUTPUT_DIR`` overrides the directory)."""
-    if output is not None:
-        path = Path(output)
-    else:
-        out_dir = Path(os.environ.get("REPRO_BENCH_OUTPUT_DIR", "."))
-        path = out_dir / "BENCH_serve.json"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    os.replace(tmp, path)
-    return path

@@ -1,11 +1,11 @@
-"""Shared utilities: seeded randomness, numerics, artifact caching, timing.
+"""Shared utilities: seeded randomness, numerics, artifact caching, locks.
 
 These helpers are deliberately tiny and dependency-free (numpy only) so that
 every other subpackage can import them without cycles.
 """
 
 from repro.utils.caching import ArtifactCache, default_cache, fingerprint, memoize
-from repro.utils.env import environment_info
+from repro.utils.env import environment_info, write_bench_record
 from repro.utils.locks import (
     LockWitness,
     TrackedLock,
@@ -25,14 +25,11 @@ from repro.utils.numerics import (
     stable_log,
 )
 from repro.utils.rng import SeedSequence, derive_rng, derive_seed, new_rng
-from repro.utils.timing import StageTimings, Timer
 
 __all__ = [
     "ArtifactCache",
     "LockWitness",
     "SeedSequence",
-    "StageTimings",
-    "Timer",
     "TrackedLock",
     "TrackedRLock",
     "default_cache",
@@ -53,4 +50,5 @@ __all__ = [
     "stable_log",
     "witness",
     "witness_enabled",
+    "write_bench_record",
 ]

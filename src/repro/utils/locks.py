@@ -75,7 +75,6 @@ CANONICAL_ORDER: Tuple[str, ...] = (
     # time-series append and the SLO ingest, so it sits above all three.
     "obs.collector",
     "serve.metrics",
-    "utils.timings",
     "obs.tracer",
     "obs.trace_builder",
     "obs.trace_store",

@@ -26,6 +26,7 @@ from repro.core import (
     TreePairingHeuristic,
 )
 from repro.data import WorldConfig, build_tagging_dataset, build_world
+from repro.obs import Tracer
 from repro.serve import SaccsRuntime, ServeConfig
 from repro.text import ChunkParser, ConceptualSimilarity, PosLexicon, restaurant_lexicon
 
@@ -95,6 +96,23 @@ class TestEngineEquivalence:
         assert engine.extract_token_lists(utterances) == [
             extractor.extract(u) for u in utterances
         ]
+
+    def test_sequential_ingest_is_attributed_by_extract_spans(self, world, extractor):
+        saccs = Saccs(
+            world.entities, world.reviews, extractor,
+            ConceptualSimilarity(restaurant_lexicon()),
+            SaccsConfig(extraction_mode="sequential"),
+        )
+        tracer = Tracer()
+        with tracer.trace("ingest"):
+            saccs.ingest_reviews()
+        spans = tracer.store.recent(1)[0]["spans"]
+        names = [item["name"] for item in spans]
+        tagged = sum(1 for reviews in world.reviews.values() for r in reviews if r.sentences)
+        # one tagger call per review on the sequential path
+        assert names.count("extract.encode") == names.count("extract.decode") == tagged
+        assert names.count("extract.register") == 1
+        assert {item["parent_id"] for item in spans[1:]} == {spans[0]["span_id"]}
 
 
 class TestIncrementalReingest:
@@ -188,10 +206,8 @@ class TestBenchExtractSmoke:
     """End-to-end smoke for ``repro bench-extract`` on a tiny corpus."""
 
     def test_benchmark_runs_and_record_is_well_formed(self, tmp_path):
-        from repro.core.extraction_bench import (
-            run_extraction_benchmark,
-            write_extract_record,
-        )
+        from repro.core.extraction_bench import run_extraction_benchmark
+        from repro.utils.env import write_bench_record
 
         payload = run_extraction_benchmark(
             seed=3,
@@ -207,10 +223,12 @@ class TestBenchExtractSmoke:
             assert variant["ingest_seconds"] > 0.0
         stages = payload["variants"]["bucketed"]["stages"]
         assert {"encode", "decode", "pair", "register"} <= set(stages)
+        # the sequential loop is attributed by the tagger's own spans too
+        assert {"encode", "decode", "register"} <= set(payload["variants"]["sequential"]["stages"])
         assert payload["summary"]["warm_cache_hit_ratio"] == pytest.approx(1.0)
         assert set(payload["summary"]["speedup"]) == {"bucketed", "warm_cache"}
 
-        path = write_extract_record(payload, output=str(tmp_path / "BENCH_extract.json"))
+        path = write_bench_record("extract", payload, output=str(tmp_path / "BENCH_extract.json"))
         import json
 
         on_disk = json.loads(path.read_text())

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.serve.loadgen import run_load_benchmark, write_serve_record
+from repro.serve.loadgen import run_load_benchmark
+from repro.utils.env import write_bench_record
 
 
 @pytest.mark.slow
@@ -27,7 +28,7 @@ def test_load_benchmark_produces_record(tmp_path):
     summary = payload["summary"]
     assert summary["peak_clients"] == 4
     assert summary["speedup_batching_at_peak"] > 0
-    path = write_serve_record(payload, str(tmp_path / "BENCH_serve.json"))
+    path = write_bench_record("serve", payload, str(tmp_path / "BENCH_serve.json"))
     assert path.exists()
     assert "environment" in payload
 

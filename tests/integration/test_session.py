@@ -18,7 +18,9 @@ from repro.core import (
     TreePairingHeuristic,
     UserProfile,
 )
+from repro.core.session import MAX_TURNS
 from repro.data import WorldConfig, build_tagging_dataset, build_world
+from repro.obs import Tracer
 from repro.text import ChunkParser, ConceptualSimilarity, PosLexicon, restaurant_lexicon
 
 
@@ -107,6 +109,26 @@ class TestConversationSession:
         session.say("a restaurant with a beautiful view")
         session.say("and generous portions")
         assert len(session.turns) == 2
+
+    def test_turn_log_keeps_only_the_newest_turns(self, saccs):
+        session = ConversationSession(saccs, top_k=3)
+        # the 25th turn takes the reset branch, the other append site
+        utterances = [f"place number {i} with delicious food" for i in range(24)]
+        utterances.append("start over")
+        for utterance in utterances:
+            session.say(utterance)
+        assert MAX_TURNS == 20
+        assert isinstance(session.turns, list) and len(session.turns) == 20
+        assert [t.utterance for t in session.turns] == utterances[5:]
+        assert f"raw={utterances[-1]}" in session.state_summary()
+
+    def test_say_is_attributed_by_extract_spans(self, saccs):
+        session = ConversationSession(saccs, top_k=3)
+        tracer = Tracer()
+        with tracer.trace("turn"):
+            session.say("a restaurant with delicious food")
+        names = [item["name"] for item in tracer.store.recent(1)[0]["spans"]]
+        assert {"extract.encode", "extract.decode"} <= set(names)
 
 
 class TestConversationStageIntegration:

@@ -17,8 +17,8 @@ from repro.core.extractor import HeuristicPairer, TagExtractor
 from repro.core.heuristics import WordDistanceHeuristic
 from repro.core.tags import SubjectiveTag
 from repro.data.schema import LabeledSentence, Review
+from repro.obs import Tracer, tracing
 from repro.serve.metrics import MetricsRegistry
-from repro.utils.timing import StageTimings
 
 ASPECTS = {"food", "staff", "pizza", "service"}
 OPINIONS = {"delicious", "friendly", "bland", "slow"}
@@ -39,14 +39,14 @@ class FakeTagger:
     def train(self):
         return self
 
-    def predict(self, sentences, timings=None, precision=None):
+    def predict(self, sentences, precision=None):
         self.batches.append([len(s) for s in sentences])
         self.precisions.append(precision)
-        if timings is not None:
-            with timings.span("encode"):
-                pass
-            with timings.span("decode"):
-                pass
+        # the stage spans SequenceTagger.predict opens itself
+        with tracing.span("extract.encode"):
+            pass
+        with tracing.span("extract.decode"):
+            pass
         out = []
         for tokens in sentences:
             labels = []
@@ -119,11 +119,19 @@ class TestBucketedExtraction:
         ]
 
     def test_timings_record_all_stages(self):
-        engine = ExtractionEngine(fake_extractor(), ExtractionEngineConfig(batch_sentences=2))
-        engine.extract_reviews(REVIEWS)
-        stages = engine.timings.as_dict()
-        assert {"encode", "decode", "pair"} <= set(stages)
-        assert stages["pair"]["calls"] == 1
+        extractor = fake_extractor()
+        engine = ExtractionEngine(extractor, ExtractionEngineConfig(batch_sentences=2))
+        tracer = Tracer()
+        with tracer.trace("ingest"):
+            engine.extract_reviews(REVIEWS)
+        spans = tracer.store.recent(1)[0]["spans"]
+        names = [item["name"] for item in spans]
+        buckets = len(extractor.tagger.batches)
+        assert buckets > 1
+        assert names.count("extract.encode") == names.count("extract.decode") == buckets
+        assert names.count("extract.pair") == 1
+        # every stage is a direct child of the caller's span
+        assert {item["parent_id"] for item in spans[1:]} == {spans[0]["span_id"]}
 
 
 class TestExtractionCache:
@@ -204,17 +212,3 @@ class TestConfigValidation:
         engine = ExtractionEngine(OracleExtractor())
         with pytest.raises(TypeError):
             engine.extract_token_lists([["hello"]])
-
-
-class TestStageTimings:
-    def test_spans_accumulate(self):
-        spans = StageTimings()
-        with spans.span("encode"):
-            pass
-        with spans.span("encode"):
-            pass
-        snapshot = spans.as_dict()
-        assert snapshot["encode"]["calls"] == 2
-        assert snapshot["encode"]["seconds"] >= 0.0
-        spans.reset()
-        assert spans.as_dict() == {}

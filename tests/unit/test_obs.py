@@ -7,7 +7,6 @@ no sleeps, no wallclock.
 
 import io
 import json
-import threading
 
 import pytest
 
@@ -24,7 +23,6 @@ from repro.obs import (
     trace_summary,
     tracing,
 )
-from repro.utils.timing import StageTimings, Timer
 
 
 class TickClock:
@@ -86,19 +84,6 @@ class TestTracer:
         spans = {item["name"]: item for item in trace["spans"]}
         assert spans["child"]["attributes"]["error"] == "ValueError"
         assert spans["root"]["attributes"]["error"] == "ValueError"
-
-    def test_record_adds_duration_known_child_ending_now(self):
-        tracer = make_tracer()
-        with tracer.trace("root"):
-            tracing.record("shim.stage", 0.5, source="legacy")
-            tracing.record("shim.negative", -3.0)  # clamped to zero length
-        trace = tracer.store.recent(1)[0]
-        spans = {item["name"]: item for item in trace["spans"]}
-        stage = spans["shim.stage"]
-        assert stage["parent_id"] == spans["root"]["span_id"]
-        assert stage["duration_seconds"] == pytest.approx(0.5)
-        assert stage["attributes"] == {"source": "legacy"}
-        assert spans["shim.negative"]["duration_seconds"] == pytest.approx(0.0)
 
     def test_annotate_and_current_span_inside_and_outside(self):
         tracer = make_tracer()
@@ -166,7 +151,8 @@ class TestGroupFanOut:
         roots = [tracer.begin("serve.search"), tracer.begin("serve.search")]
         with tracing.scope(roots):
             with tracing.span("serve.batch", batch_size=2):
-                tracing.record("extract.encode", 0.25)
+                with tracing.span("extract.encode"):
+                    pass
                 tracing.annotate(cache="miss")
         payloads = [tracer.finish(root) for root in roots]
         assert [p["trace_id"] for p in payloads] == ["t000001", "t000002"]
@@ -180,7 +166,8 @@ class TestGroupFanOut:
                 "cache": "miss",
             }
             assert spans["extract.encode"]["parent_id"] == spans["serve.batch"]["span_id"]
-            assert spans["extract.encode"]["duration_seconds"] == pytest.approx(0.25)
+            # one tick at enter, one at exit: the shared fake clock's step.
+            assert spans["extract.encode"]["duration_seconds"] == pytest.approx(1.0)
         # The work was measured once: both members share timestamps.
         starts = [p["spans"][1]["start"] for p in payloads]
         assert starts[0] == starts[1]
@@ -213,7 +200,6 @@ class TestNullTracer:
             assert tracing.current_span() is None
             with tracing.span("child"):
                 pass
-            tracing.record("stage", 1.0)
             tracing.annotate(k=1)
         assert tracer.begin("x") is None
         assert tracer.finish(None) is None
@@ -360,57 +346,6 @@ class TestStructuredLogger:
         logger = StructuredLogger("t", stream=stream, clock=lambda: 0.0)
         logger.info("obj", payload=object())
         assert "object object" in json.loads(stream.getvalue())["payload"]
-
-
-# ---------------------------------------------------------- timing shims
-
-
-class TestTimingShims:
-    def test_timer_exit_without_enter_raises(self):
-        with pytest.raises(RuntimeError):
-            Timer().__exit__(None, None, None)
-
-    def test_timer_reentry_restarts(self):
-        timer = Timer("t")
-        with timer:
-            pass
-        first = timer.elapsed
-        with timer:
-            pass
-        assert timer.elapsed >= 0.0 and first >= 0.0
-
-    def test_stage_timings_absorb_into_active_trace(self):
-        tracer = make_tracer()
-        timings = StageTimings(span_prefix="extract.")
-        with tracer.trace("root"):
-            timings.add("encode", 0.125)
-        timings.add("decode", 0.5)  # outside any trace: folded but unspanned
-        assert timings.as_dict()["encode"]["calls"] == 1
-        assert timings.as_dict()["decode"]["calls"] == 1
-        trace = tracer.store.recent(1)[0]
-        names = [item["name"] for item in trace["spans"]]
-        assert names == ["root", "extract.encode"]
-        spans = {item["name"]: item for item in trace["spans"]}
-        assert spans["extract.encode"]["duration_seconds"] == pytest.approx(0.125)
-
-    def test_stage_timings_without_prefix_never_touch_traces(self):
-        tracer = make_tracer()
-        timings = StageTimings()
-        with tracer.trace("root"):
-            timings.add("encode", 0.125)
-        assert [s["name"] for s in tracer.store.recent(1)[0]["spans"]] == ["root"]
-
-    def test_stage_timings_threadsafe_add(self):
-        timings = StageTimings()
-        workers = [
-            threading.Thread(target=lambda: timings.add("stage", 0.001))
-            for _ in range(8)
-        ]
-        for worker in workers:
-            worker.start()
-        for worker in workers:
-            worker.join()
-        assert timings.as_dict()["stage"]["calls"] == 8
 
 
 # ------------------------------------------------------------------ render

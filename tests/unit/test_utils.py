@@ -1,4 +1,6 @@
-"""Unit tests for repro.utils: rng trees, caching, numerics, timing."""
+"""Unit tests for repro.utils: rng trees, caching, numerics, bench records."""
+
+import json
 
 import numpy as np
 import pytest
@@ -7,7 +9,6 @@ from repro.nn import Linear, load_module, save_module
 from repro.utils import (
     ArtifactCache,
     SeedSequence,
-    Timer,
     derive_rng,
     derive_seed,
     fingerprint,
@@ -16,6 +17,7 @@ from repro.utils import (
     sigmoid,
     softmax,
     stable_log,
+    write_bench_record,
 )
 
 
@@ -103,13 +105,6 @@ class TestNumerics:
         assert np.isfinite(stable_log(np.array([0.0]))[0])
 
 
-class TestTimer:
-    def test_measures_nonnegative(self):
-        with Timer("t") as timer:
-            sum(range(1000))
-        assert timer.elapsed >= 0.0
-
-
 class TestMemoize:
     def test_caches_and_exposes_cache(self):
         from repro.utils import memoize
@@ -151,3 +146,41 @@ class TestModuleSerialization:
         load_module(clone, path)
         np.testing.assert_allclose(clone.weight.data, layer.weight.data)
         np.testing.assert_allclose(clone.bias.data, layer.bias.data)
+
+
+class TestWriteBenchRecord:
+    def test_env_dir_default_and_environment_stamp(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_BENCH_OUTPUT_DIR", str(tmp_path / "out"))
+        path = write_bench_record("demo", {"b": 1, "a": [2]})
+        assert path == tmp_path / "out" / "BENCH_demo.json"
+        text = path.read_text()
+        assert text.endswith("}\n")
+        record = json.loads(text)
+        assert list(record) == sorted(record)
+        assert record["a"] == [2] and record["b"] == 1
+        assert {"python", "platform", "cpu_count"} <= set(record["environment"])
+        assert [p.name for p in path.parent.iterdir()] == ["BENCH_demo.json"]
+
+    def test_working_directory_without_env_dir(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("REPRO_BENCH_OUTPUT_DIR", raising=False)
+        monkeypatch.chdir(tmp_path)
+        path = write_bench_record("demo", {})
+        assert path.resolve() == tmp_path / "BENCH_demo.json"
+        assert "environment" in json.loads(path.read_text())
+
+    def test_explicit_output_wins_and_payload_environment_is_kept(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_BENCH_OUTPUT_DIR", str(tmp_path / "ignored"))
+        payload = {"environment": {"host": "pinned"}}
+        path = write_bench_record("demo", payload, output=tmp_path / "nested" / "r.json")
+        assert path == tmp_path / "nested" / "r.json"
+        assert json.loads(path.read_text())["environment"] == {"host": "pinned"}
+        assert not (tmp_path / "ignored").exists()
+        assert [p.name for p in path.parent.iterdir()] == ["r.json"]
+        assert payload == {"environment": {"host": "pinned"}}
+
+    def test_rewrite_replaces_the_record(self, tmp_path):
+        target = tmp_path / "BENCH_demo.json"
+        write_bench_record("demo", {"run": 1}, output=str(target))
+        write_bench_record("demo", {"run": 2}, output=str(target))
+        assert json.loads(target.read_text())["run"] == 2
+        assert [p.name for p in tmp_path.iterdir()] == ["BENCH_demo.json"]
