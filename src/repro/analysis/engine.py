@@ -64,6 +64,8 @@ class AnalysisResult:
     stale_baseline: List[str] = field(default_factory=list)
     files_scanned: int = 0
     rules_run: int = 0
+    #: every parsed module, as the program rules saw them.
+    modules: List[ParsedModule] = field(default_factory=list, repr=False)
 
     @property
     def ok(self) -> bool:
@@ -201,7 +203,7 @@ def run_analysis(
     accepted = load_baseline(baseline_path) if baseline_path else set()
     result = AnalysisResult(rules_run=len(rules))
     collected: List[Finding] = []
-    modules: List[ParsedModule] = []
+    modules = result.modules
     suppressions: Dict[str, SuppressionIndex] = {}
     for path in iter_python_files(paths):
         relative = _relpath(path, root)

@@ -16,14 +16,16 @@ from repro.analysis.astutil import call_name
 from repro.analysis.concurrency.locksets import LockReport, analyze_program
 from repro.analysis.registry import Finding, ParsedModule, ProgramRule, Rule, register
 
-__all__ = ["LockOrderCycle", "LockHeldBlocking", "LockFactory"]
+__all__ = ["LockOrderCycle", "LockHeldBlocking", "LockFactory", "program_report"]
 
-#: One-slot memo so both program rules share a single analysis of the same
-#: module list (the engine hands each rule the identical sequence).
+#: One-slot memo so both program rules — and ``repro locks``, which renders
+#: the report after triaging its findings — share a single analysis of the
+#: same parsed module list.
 _MEMO: List[Tuple[Tuple[Tuple[str, int], ...], LockReport]] = []
 
 
-def _program_report(modules: Sequence[ParsedModule]) -> LockReport:
+def program_report(modules: Sequence[ParsedModule]) -> LockReport:
+    """The lock analysis of ``modules``, computed once per parsed tree set."""
     key = tuple((module.path, id(module.tree)) for module in modules)
     if _MEMO and _MEMO[0][0] == key:
         return _MEMO[0][1]
@@ -46,7 +48,7 @@ class LockOrderCycle(ProgramRule):
     )
 
     def check_program(self, modules: Sequence[ParsedModule]) -> List[Finding]:
-        report = _program_report(modules)
+        report = program_report(modules)
         findings: List[Finding] = []
         for cycle in report.cycles:
             path, line = cycle.anchor
@@ -81,7 +83,7 @@ class LockHeldBlocking(ProgramRule):
     )
 
     def check_program(self, modules: Sequence[ParsedModule]) -> List[Finding]:
-        report = _program_report(modules)
+        report = program_report(modules)
         findings: List[Finding] = []
         for site in report.blocking:
             held = ", ".join(

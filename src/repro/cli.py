@@ -162,10 +162,7 @@ def _build_serving_saccs(args: argparse.Namespace):
         world.reviews,
         OracleExtractor(),
         similarity,
-        SaccsConfig(
-            encoder_precision=getattr(args, "encoder_precision", "float64"),
-            index_shards=getattr(args, "shards", 1),
-        ),
+        SaccsConfig(index_shards=getattr(args, "shards", 1)),
     )
     snapshot_dir = getattr(args, "snapshot_dir", None)
     if snapshot_dir:
@@ -620,33 +617,21 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _cmd_locks(args: argparse.Namespace) -> int:
-    import ast as _ast
-
-    from repro.analysis.concurrency import (
-        analyze_program,
-        render_dot,
-        render_locks_human,
-        report_payload,
-    )
-    from repro.analysis.engine import _relpath, iter_python_files, run_analysis
-    from repro.analysis.registry import ParsedModule, get_rule
+    from repro.analysis.concurrency import render_dot, render_locks_human, report_payload
+    from repro.analysis.engine import run_analysis
+    from repro.analysis.registry import get_rule
     from repro.analysis.reporters import result_payload
+    from repro.analysis.rules.concurrency import program_report
 
-    root = os.path.abspath(args.root or os.getcwd())
-    modules = []
-    for path in iter_python_files(args.paths):
-        with open(path, "r", encoding="utf-8") as handle:
-            source = handle.read()
-        try:
-            tree = _ast.parse(source, filename=path)
-        except SyntaxError:
-            continue
-        modules.append(
-            ParsedModule(
-                path=_relpath(path, root), tree=tree, lines=source.splitlines()
-            )
-        )
-    report = analyze_program(modules)
+    # Triage cycles/blocking through the same suppression + baseline
+    # machinery as `repro lint`, so intentional exceptions stay visible but
+    # non-failing and anything new fails the command (and the tier-1 guard).
+    # The two rules share one parse and one lock analysis, which the
+    # rendering below reads back.
+    rules = [get_rule("lock-order-cycle"), get_rule("lock-held-blocking")]
+    baseline_path = None if args.no_baseline else args.baseline
+    triage = run_analysis(args.paths, root=args.root, rules=rules, baseline_path=baseline_path)
+    report = program_report(triage.modules)
     if args.dot:
         tmp = args.dot + ".tmp"
         with open(tmp, "w", encoding="utf-8") as handle:
@@ -654,13 +639,6 @@ def _cmd_locks(args: argparse.Namespace) -> int:
         os.replace(tmp, args.dot)
         # stderr so `--format json` stdout stays machine-parseable.
         print(f"wrote {args.dot}", file=sys.stderr)
-
-    # Triage cycles/blocking through the same suppression + baseline
-    # machinery as `repro lint`, so intentional exceptions stay visible but
-    # non-failing and anything new fails the command (and the tier-1 guard).
-    rules = [get_rule("lock-order-cycle"), get_rule("lock-held-blocking")]
-    baseline_path = None if args.no_baseline else args.baseline
-    triage = run_analysis(args.paths, root=args.root, rules=rules, baseline_path=baseline_path)
     if args.format == "json":
         payload = report_payload(report)
         payload["triage"] = result_payload(triage)
@@ -762,13 +740,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--snapshot-dir",
         help="warm-start the index from this snapshot directory; on a "
         "missing or corrupt snapshot, cold-build and write a fresh one",
-    )
-    serve.add_argument(
-        "--encoder-precision",
-        choices=("float64", "float32", "int8"),
-        default="float64",
-        help="tape-free fused inference precision for utterance extraction "
-        "(float64 is bitwise-identical to the training forward)",
     )
     serve.add_argument(
         "--no-trace", action="store_true", help="disable request tracing"
@@ -896,8 +867,10 @@ def build_parser() -> argparse.ArgumentParser:
         "bench-serve", help="closed-loop load benchmark of the serving runtime"
     )
     bench_serve.add_argument("--seed", type=int, default=7)
-    bench_serve.add_argument("--clients", type=int, nargs="+", default=[1, 4, 16])
-    bench_serve.add_argument("--requests", type=int, default=60, help="requests per client")
+    bench_serve.add_argument("--clients", type=_positive_int, nargs="+", default=[1, 4, 16])
+    bench_serve.add_argument(
+        "--requests", type=_positive_int, default=60, help="requests per client"
+    )
     bench_serve.add_argument("--entities", type=int, default=60)
     bench_serve.add_argument("--reviews", type=float, default=10.0)
     bench_serve.add_argument("--max-batch-size", type=_positive_int, default=16)
@@ -929,8 +902,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench_index.add_argument(
         "--review-tags", type=int, default=2000, help="review-tag occurrences"
     )
-    bench_index.add_argument("--index-tags", type=int, default=500)
-    bench_index.add_argument("--queries", type=int, default=1000)
+    bench_index.add_argument("--index-tags", type=_positive_int, default=500)
+    bench_index.add_argument("--queries", type=_positive_int, default=1000)
     bench_index.add_argument(
         "--shards", type=_positive_int, nargs="+", default=[1, 4, 8], help="shard-count cells"
     )
@@ -953,7 +926,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench_conv.add_argument("--seed", type=int, default=7)
     bench_conv.add_argument("--entities", type=int, default=36)
     bench_conv.add_argument("--reviews", type=float, default=8.0)
-    bench_conv.add_argument("--sessions", type=int, default=12)
+    bench_conv.add_argument("--sessions", type=_positive_int, default=12)
     bench_conv.add_argument("--turns", type=int, default=6, help="turns per session")
     bench_conv.add_argument(
         "--train-epochs", type=int, default=2, help="tagger warm-up epochs before the runs"

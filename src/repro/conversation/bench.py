@@ -79,22 +79,22 @@ def build_conv_workload(
 
 
 def _count_extract_calls(saccs) -> Dict[str, int]:
-    """Shadow ``extractor.extract`` with a counting wrapper (restorable)."""
+    """Shadow the engine's ``extract_token_lists`` — the one route from a
+    turn to the tagger — with a counting wrapper (restorable)."""
     counter = {"calls": 0}
-    original = saccs.extractor.extract
+    engine = saccs.extraction_engine
+    original = engine.extract_token_lists
 
-    def counting(tokens):
+    def counting(token_lists):
         counter["calls"] += 1
-        return original(tokens)
+        return original(token_lists)
 
-    saccs.extractor.extract = counting
-    counter["_original"] = original  # type: ignore[assignment]
+    engine.extract_token_lists = counting
     return counter
 
 
-def _restore_extract(saccs, counter: Dict[str, int]) -> None:
-    saccs.extractor.__dict__.pop("extract", None)
-    counter.pop("_original", None)
+def _restore_extract(saccs) -> None:
+    saccs.extraction_engine.__dict__.pop("extract_token_lists", None)
 
 
 def _run_workload(saccs, workload: List[List[str]], stage_factory) -> Dict[str, float]:
@@ -118,7 +118,7 @@ def _run_workload(saccs, workload: List[List[str]], stage_factory) -> Dict[str, 
                 session.say(utterance)
     finally:
         calls = counter["calls"]
-        _restore_extract(saccs, counter)
+        _restore_extract(saccs)
     return {"calls": calls, "seconds": tracer.finish(root)["duration_seconds"]}
 
 

@@ -14,11 +14,7 @@ from repro.core.evaluation import (
     classification_report,
     span_f1,
 )
-from repro.core.extraction_engine import (
-    ExtractionCache,
-    ExtractionEngine,
-    ExtractionEngineConfig,
-)
+from repro.core.extraction_engine import ExtractionCache, ExtractionEngine
 from repro.core.extractor import (
     ClassifierPairer,
     HeuristicPairer,
@@ -74,7 +70,6 @@ __all__ = [
     "DialogSystem",
     "ExtractionCache",
     "ExtractionEngine",
-    "ExtractionEngineConfig",
     "FakeReviewFilter",
     "FilterConfig",
     "FraudFilterConfig",

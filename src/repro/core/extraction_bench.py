@@ -4,7 +4,8 @@ Measures the end-to-end ingest pass — the offline budget of Figure 2 —
 under three extraction strategies on one seeded corpus with one trained
 neural extractor:
 
-* ``sequential`` — the original one-review-at-a-time loop (the oracle);
+* ``sequential`` — one ``TagExtractor.extract_review`` call per review,
+  registered into the index (the reference oracle; no config selects it);
 * ``bucketed`` — corpus-wide length buckets, batch Viterbi, serial pairing;
 * ``warm_cache`` — a second bucketed pass over the *unchanged*
   corpus through the content-hash extraction cache (the incremental
@@ -15,7 +16,8 @@ BERT → BiLSTM → projection) per precision over the same bucketed sentence
 stream: the autograd tape forward (the PR-5 baseline) against the fused
 tape-free path at float64 / float32 / int8, plus the equivalence-tolerance
 report of each precision against the float64 tape oracle.  Full bucketed
-ingests at float32 and int8 round out the tag-identity witness.
+ingests with the tagger's ``encoder_precision`` set to float32 and int8
+round out the tag-identity witness.
 
 Every variant's extracted tags are checked **identical** per entity/review
 before speedups are reported.  Every timed ingest runs inside one trace,
@@ -31,7 +33,7 @@ regressions in the tier-1 flow — including a 3.0 floor on the
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -81,8 +83,24 @@ def _make_saccs(world, extractor: TagExtractor, config: SaccsConfig) -> Saccs:
     )
 
 
-def _traced_ingest(saccs: Saccs) -> Tuple[float, Dict[str, Dict[str, float]]]:
-    """Ingest inside one trace; return its seconds and per-stage spans.
+def _sequential_ingest(saccs: Saccs) -> None:
+    """The reference ingest: one ``extract_review`` call per review, then
+    the same registration (and ``extract.register`` span) as
+    ``Saccs.ingest_reviews``."""
+    extract_review = saccs.extractor.extract_review
+    extracted = [
+        (entity.entity_id, [extract_review(r) for r in saccs.reviews.get(entity.entity_id, [])])
+        for entity in saccs.entities
+    ]
+    with obs.span("extract.register"):
+        for entity_id, per_review in extracted:
+            saccs.index.register_entity(entity_id, per_review)
+
+
+def _traced_ingest(
+    saccs: Saccs, ingest: Callable[[Saccs], None] = Saccs.ingest_reviews
+) -> Tuple[float, Dict[str, Dict[str, float]]]:
+    """Run ``ingest`` inside one trace; return its seconds and per-stage spans.
 
     Stages are the trace's ``extract.<stage>`` spans folded by name (prefix
     stripped) into ``{stage: {seconds, calls}}``.
@@ -90,7 +108,7 @@ def _traced_ingest(saccs: Saccs) -> Tuple[float, Dict[str, Dict[str, float]]]:
     tracer = obs.Tracer()
     root = tracer.begin("bench.ingest")
     with obs.scope([root]):
-        saccs.ingest_reviews()
+        ingest(saccs)
     trace = tracer.finish(root)
     stages: Dict[str, Dict[str, float]] = {}
     for item in trace["spans"]:
@@ -203,22 +221,20 @@ def run_extraction_benchmark(
         len(review.sentences) for reviews in world.reviews.values() for review in reviews
     )
 
-    variant_configs = {
-        "sequential": SaccsConfig(extraction_mode="sequential"),
-        "bucketed": SaccsConfig(extraction_batch_sentences=batch_sentences),
-    }
+    config = SaccsConfig(extraction_batch_sentences=batch_sentences)
+    ingests = {"sequential": _sequential_ingest, "bucketed": Saccs.ingest_reviews}
     # One untimed bucketed pass first: the first large-batch forward in a
     # process sometimes pays a one-time ~1 s stall (seen with multi-threaded
     # BLAS on a 2-vCPU VM), which would otherwise land on ``bucketed``.
     say("warm-up: one untimed bucketed ingest ...")
-    _make_saccs(world, extractor, variant_configs["bucketed"]).ingest_reviews()
+    _make_saccs(world, extractor, config).ingest_reviews()
     variants: Dict[str, Dict[str, object]] = {}
     witnesses: Dict[str, Dict[str, List[Tuple[SubjectiveTag, ...]]]] = {}
     warm_engine: Optional[ExtractionEngine] = None
-    for name, config in variant_configs.items():
+    for name, ingest in ingests.items():
         say(f"variant: {name} ...")
         saccs = _make_saccs(world, extractor, config)
-        seconds, stages = _traced_ingest(saccs)
+        seconds, stages = _traced_ingest(saccs, ingest)
         variants[name] = {
             "ingest_seconds": seconds,
             "stages": stages,
@@ -231,7 +247,7 @@ def run_extraction_benchmark(
     say("variant: warm_cache (unchanged-corpus reingest) ...")
     assert warm_engine is not None
     hits_before, misses_before = warm_engine.cache.hits, warm_engine.cache.misses
-    warm_saccs = _make_saccs(world, extractor, variant_configs["bucketed"])
+    warm_saccs = _make_saccs(world, extractor, config)
     warm_saccs.extraction_engine = warm_engine  # inherit the populated cache
     seconds, stages = _traced_ingest(warm_saccs)
     warm_hits = warm_engine.cache.hits - hits_before
@@ -254,19 +270,18 @@ def run_extraction_benchmark(
     # must match the sequential float64 oracle exactly (the tag-identity
     # witness of the fused inference path).
     precision_results: Dict[str, Dict[str, object]] = {}
-    for precision in ("float32", "int8"):
-        say(f"variant: bucketed {precision} (fused inference) ...")
-        saccs = _make_saccs(
-            world,
-            extractor,
-            SaccsConfig(
-                extraction_batch_sentences=batch_sentences,
-                encoder_precision=precision,
-            ),
-        )
-        seconds, stages = _traced_ingest(saccs)
-        precision_results[precision] = {"ingest_seconds": seconds, "stages": stages}
-        witnesses[f"bucketed_{precision}"] = _extracted_tags(saccs)
+    tagger = extractor.tagger
+    default_precision = tagger.encoder_precision
+    try:
+        for precision in ("float32", "int8"):
+            say(f"variant: bucketed {precision} (fused inference) ...")
+            tagger.encoder_precision = precision
+            saccs = _make_saccs(world, extractor, config)
+            seconds, stages = _traced_ingest(saccs)
+            precision_results[precision] = {"ingest_seconds": seconds, "stages": stages}
+            witnesses[f"bucketed_{precision}"] = _extracted_tags(saccs)
+    finally:
+        tagger.encoder_precision = default_precision
 
     say("encode stage: tape vs fused per precision ...")
     encode = _encode_benchmark(extractor, world, batch_sentences)

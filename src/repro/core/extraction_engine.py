@@ -1,82 +1,58 @@
-"""Corpus-wide batched extraction engine (the fast path behind ingest).
+"""Batched extraction engine: the one route from text to subjective tags.
 
-``Saccs.ingest_reviews`` used to hand the extractor one review at a time:
-every review paid one BERT forward (padded to its own longest sentence) and
-one Python Viterbi loop per sentence.  This module restructures the whole
-extraction pass around the corpus instead of the review:
+Reviews at ingest, ``/search`` utterances, :meth:`Saccs.answer` and
+conversation turns all reach the tagger through this engine.  It
+restructures extraction around the whole input instead of one review or
+utterance at a time:
 
-1. **Flatten + bucket** — all sentences across all entities/reviews are
-   flattened into one stream and stably sorted by token length; consecutive
-   runs of up to ``batch_sentences`` sentences form *length buckets*, so
-   each encoder forward is a large batch padded only to its bucket's max
-   length (near-zero padding waste) instead of many tiny ragged batches.
-2. **Batch decode** — each bucket's emissions go through the vectorized
-   batch Viterbi (:meth:`repro.nn.crf.LinearChainCRF.decode_batch`): one
-   ``(B, T, L)`` max-plus recurrence instead of a per-sentence Python loop.
-3. **Serial pairing** — the pairing stage (parse trees + heuristics /
-   classifier) runs sentence by sentence in stream order; at ~1% of
-   ingest time it is too small for a thread pool to pay for itself.
-4. **Incremental re-extraction** — an LRU :class:`ExtractionCache` keyed by
+1. **Flatten + bucket** — all sentences (across every entity and review, or
+   every utterance of a micro-batch) are flattened into one stream and
+   stably sorted by token length; consecutive runs of up to
+   ``batch_sentences`` sentences form *length buckets*, so each encoder
+   forward is a large batch padded only to its bucket's max length (near-zero
+   padding waste) instead of many tiny ragged batches.
+2. **Tag + pair per bucket** — each bucket goes through
+   :meth:`TagExtractor.extract_batch`: one fused encoder forward at the
+   tagger's ``encoder_precision``, the vectorized batch Viterbi
+   (:meth:`repro.nn.crf.LinearChainCRF.decode_batch`), then the pairing
+   stage (parse trees + heuristics / classifier) sentence by sentence.
+3. **Incremental re-extraction** — an LRU :class:`ExtractionCache` keyed by
    a content hash of each review's sentence tokens.  Re-ingesting after a
    small corpus change (``Saccs.rebuild_index`` / ``/admin/reindex`` with
    ``full=true``) only re-tags new or edited reviews; unchanged reviews are
    served from the cache.  Hit/miss counters flow into a bound
    ``MetricsRegistry`` (``extract.cache.hit`` / ``extract.cache.miss``, so
    ``/metrics`` rolls them into a ratio) and are also kept as plain ints on
-   the cache for metrics-free callers.
+   the cache for metrics-free callers.  Utterances are not cached here —
+   the serving layer caches them per (utterance, generation).
+
+Every tagger forward runs under the ``core.extract.tagger`` lock, with
+eval mode held across the buckets of one call.
 
 Equivalence guarantee: per-sentence tagging is batch-invariant (padding is
 masked all the way through BERT, the BiLSTM and the CRF), and pairing plus
-per-review dedup run exactly the sequential code — so the engine's tag list
-per review is **identical** (same tags, same order) to
-``TagExtractor.extract_review``.  The integration tests assert this on a
-seeded world; ``repro bench-extract`` re-checks it on every run.
+per-review dedup (:func:`~repro.core.extractor.review_tags`) run exactly the
+sequential code — so the engine's tag list per review is **identical**
+(same tags, same order) to ``TagExtractor.extract_review``.  The
+integration tests assert this on a seeded world; ``repro bench-extract``
+re-checks it on every run.
 """
 
 from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.extractor import OracleExtractor, TagExtractor, _pairs_to_tags
+from repro.core.extractor import TagExtractor, review_tags
 from repro.core.tags import SubjectiveTag
 from repro.data.schema import Review
-from repro.obs import tracing as obs
-from repro.text.labels import labels_to_spans
 from repro.utils.locks import make_lock
 
-__all__ = ["ExtractionEngineConfig", "ExtractionCache", "ExtractionEngine"]
+__all__ = ["CACHE_CAPACITY", "ExtractionCache", "ExtractionEngine"]
 
-
-@dataclass
-class ExtractionEngineConfig:
-    """Knobs for the batched extraction pass."""
-
-    #: sentences per length bucket — the encoder forward's batch size.
-    batch_sentences: int = 64
-    #: cache extracted tags per review content hash (incremental reingest).
-    cache_enabled: bool = True
-    #: retained cache entries (reviews); oldest-used entries are evicted.
-    cache_capacity: int = 200_000
-    #: precision for the tagger's tape-free fused encode path:
-    #: ``"float64"`` is bitwise-identical to the autograd forward,
-    #: ``"float32"`` / ``"int8"`` trade tolerance-bounded emission error
-    #: for speed (see :mod:`repro.nn.infer`).
-    encoder_precision: str = "float64"
-
-    def __post_init__(self):
-        if self.batch_sentences < 1:
-            raise ValueError("batch_sentences must be >= 1")
-        if self.cache_capacity < 1:
-            raise ValueError("cache_capacity must be >= 1")
-        from repro.nn.infer import PRECISIONS
-
-        if self.encoder_precision not in PRECISIONS:
-            raise ValueError(
-                f"encoder_precision must be one of {PRECISIONS}, got {self.encoder_precision!r}"
-            )
+#: reviews the extraction cache retains; oldest-used entries are evicted.
+CACHE_CAPACITY = 200_000
 
 
 class ExtractionCache:
@@ -88,7 +64,7 @@ class ExtractionCache:
     re-shuffled, and byte-identical duplicate reviews share one entry.
     """
 
-    def __init__(self, capacity: int = 200_000):
+    def __init__(self, capacity: int = CACHE_CAPACITY):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
@@ -136,26 +112,23 @@ class ExtractionEngine:
     """Bucketed, cache-aware wrapper around one extractor.
 
     Works with both extractor kinds: the neural :class:`TagExtractor` gets
-    the full bucketed tagging + serial pairing pipeline; the
-    :class:`OracleExtractor` (no encoder to batch) keeps its per-review
-    gold read but still benefits from the cache on reingest.
+    bucketed tagging + pairing; the
+    :class:`~repro.core.extractor.OracleExtractor` (no encoder to batch)
+    keeps its per-review gold read but still benefits from the cache on
+    reingest.
     """
 
-    def __init__(
-        self,
-        extractor,
-        config: Optional[ExtractionEngineConfig] = None,
-        metrics=None,
-    ):
+    def __init__(self, extractor, batch_sentences: int = 64, metrics=None):
+        if batch_sentences < 1:
+            raise ValueError("batch_sentences must be >= 1")
         self.extractor = extractor
-        self.config = config or ExtractionEngineConfig()
+        #: sentences per length bucket — the encoder forward's batch size.
+        self.batch_sentences = batch_sentences
         #: anything with ``incr(name, amount=1)`` — typically the serving
         #: :class:`~repro.serve.metrics.MetricsRegistry` (duck-typed here to
         #: keep ``repro.core`` import-independent of ``repro.serve``).
         self.metrics = metrics
-        self.cache: Optional[ExtractionCache] = (
-            ExtractionCache(self.config.cache_capacity) if self.config.cache_enabled else None
-        )
+        self.cache = ExtractionCache()
         #: serialises tagger access: the neural tagger's eval/train flip and
         #: fused-weight scratch buffers are shared state, and a background
         #: index rebuild extracts the corpus concurrently with serving
@@ -172,63 +145,43 @@ class ExtractionEngine:
             # call site passes a literal, which the rule checks at those sites.
             self.metrics.incr(name, amount)
 
-    # ------------------------------------------------------------------ tagging
+    # ------------------------------------------------------------ sentences
 
-    def _tag_sentences(self, sentences: Sequence[Sequence[str]]) -> List[List[str]]:
-        """Per-sentence IOB labels via length-bucketed batch prediction.
+    def _extract_sentences(
+        self, sentences: Sequence[Sequence[str]]
+    ) -> List[List[SubjectiveTag]]:
+        """Per-sentence tags via length-bucketed :meth:`TagExtractor.extract_batch`.
 
         Sentences are stably sorted by token length, chunked into buckets of
-        ``batch_sentences``, predicted one bucket per encoder forward, and
+        ``batch_sentences``, extracted one bucket per encoder forward, and
         scattered back to their original slots.
         """
+        if not sentences:
+            return []
         order = sorted(range(len(sentences)), key=lambda i: len(sentences[i]))
-        labels: List[Optional[List[str]]] = [None] * len(sentences)
-        cap = self.config.batch_sentences
+        out: List[Optional[List[SubjectiveTag]]] = [None] * len(sentences)
+        cap = self.batch_sentences
         tagger = self.extractor.tagger
-        precision = self.config.encoder_precision
         with self._tagger_lock:
-            return self._tag_sentences_locked(order, labels, cap, tagger, precision, sentences)
-
-    def _tag_sentences_locked(self, order, labels, cap, tagger, precision, sentences):
-        # Hold eval mode across the whole bucket loop: each predict() on a
-        # train-mode tagger would otherwise restore train mode on exit,
-        # which bumps the weights version and forces a fresh fused-weight
-        # export per bucket instead of one per ingest pass.
-        was_training = tagger.training
-        if was_training:
-            tagger.eval()
-        try:
-            for start in range(0, len(order), cap):
-                bucket = order[start : start + cap]
-                predicted = tagger.predict(
-                    [list(sentences[i]) for i in bucket], precision=precision
-                )
-                for slot, seq in zip(bucket, predicted):
-                    labels[slot] = seq
-                self._incr("extract.batches")
-                self._incr("extract.sentences", len(bucket))
-        finally:
+            # Hold eval mode across the whole bucket loop: each predict() on
+            # a train-mode tagger would otherwise restore train mode on exit,
+            # which bumps the weights version and forces a fresh fused-weight
+            # export per bucket instead of one per call.
+            was_training = tagger.training
             if was_training:
-                tagger.train()
-        return labels  # type: ignore[return-value]
-
-    # ------------------------------------------------------------------ pairing
-
-    def _pair_sentences(
-        self,
-        sentences: Sequence[Sequence[str]],
-        labels: Sequence[Sequence[str]],
-    ) -> List[List[SubjectiveTag]]:
-        """Pairing stage over tagged sentences, in stream order."""
-        pairer = self.extractor.pairer
-        with obs.span("extract.pair"):
-            out: List[List[SubjectiveTag]] = []
-            for tokens, sentence_labels in zip(sentences, labels):
-                aspect_spans, opinion_spans = labels_to_spans(sentence_labels)
-                out.append(
-                    _pairs_to_tags(tokens, pairer.pair(tokens, aspect_spans, opinion_spans))
-                )
-            return out
+                tagger.eval()
+            try:
+                for start in range(0, len(order), cap):
+                    bucket = order[start : start + cap]
+                    extracted = self.extractor.extract_batch([list(sentences[i]) for i in bucket])
+                    for slot, tags in zip(bucket, extracted):
+                        out[slot] = tags
+                    self._incr("extract.batches")
+                    self._incr("extract.sentences", len(bucket))
+            finally:
+                if was_training:
+                    tagger.train()
+        return out  # type: ignore[return-value]
 
     # ------------------------------------------------------------------ reviews
 
@@ -239,61 +192,34 @@ class ExtractionEngine:
         ``extractor.extract_review`` once per review.
         """
         results: List[Optional[List[SubjectiveTag]]] = [None] * len(reviews)
+        keys = [ExtractionCache.key_for(review) for review in reviews]
         miss_slots: List[int] = []
-        keys: List[Optional[str]] = []
-        for slot, review in enumerate(reviews):
-            if self.cache is not None:
-                key = ExtractionCache.key_for(review)
-                keys.append(key)
-                cached = self.cache.get(key)
-                if cached is not None:
-                    self._incr("extract.cache.hit")
-                    results[slot] = list(cached)
-                    continue
+        for slot, key in enumerate(keys):
+            cached = self.cache.get(key)
+            if cached is None:
                 self._incr("extract.cache.miss")
+                miss_slots.append(slot)
             else:
-                keys.append(None)
-            miss_slots.append(slot)
-        if miss_slots:
-            if isinstance(self.extractor, TagExtractor):
-                self._extract_misses_batched(reviews, miss_slots, results)
-            else:
-                for slot in miss_slots:
-                    results[slot] = self.extractor.extract_review(reviews[slot])
-            if self.cache is not None:
-                for slot in miss_slots:
-                    self.cache.put(keys[slot], results[slot])  # type: ignore[arg-type]
+                self._incr("extract.cache.hit")
+                results[slot] = list(cached)
+        if not miss_slots:
+            return results  # type: ignore[return-value]
+        if isinstance(self.extractor, TagExtractor):
+            sentences = [
+                sentence.tokens for slot in miss_slots for sentence in reviews[slot].sentences
+            ]
+            per_sentence = self._extract_sentences(sentences)
+            start = 0
+            for slot in miss_slots:
+                end = start + len(reviews[slot].sentences)
+                results[slot] = review_tags(per_sentence[start:end])
+                start = end
+        else:
+            for slot in miss_slots:
+                results[slot] = self.extractor.extract_review(reviews[slot])
+        for slot in miss_slots:
+            self.cache.put(keys[slot], results[slot])  # type: ignore[arg-type]
         return results  # type: ignore[return-value]
-
-    def _extract_misses_batched(
-        self,
-        reviews: Sequence[Review],
-        miss_slots: Sequence[int],
-        results: List[Optional[List[SubjectiveTag]]],
-    ) -> None:
-        """Bucketed tagging + pairing for the cache-missing reviews."""
-        sentences: List[List[str]] = []
-        owner: List[int] = []
-        for slot in miss_slots:
-            for sentence in reviews[slot].sentences:
-                sentences.append(list(sentence.tokens))
-                owner.append(slot)
-        labels = self._tag_sentences(sentences)
-        per_sentence = self._pair_sentences(sentences, labels)
-        # Reassemble per review: sentence order is preserved (owner runs are
-        # contiguous), dedup keeps the first occurrence — the exact
-        # semantics of ``TagExtractor.extract_review``.
-        assembled: Dict[int, List[SubjectiveTag]] = {slot: [] for slot in miss_slots}
-        seen: Dict[int, Set[SubjectiveTag]] = {slot: set() for slot in miss_slots}
-        for slot, tags in zip(owner, per_sentence):
-            bucket_seen = seen[slot]
-            bucket_tags = assembled[slot]
-            for tag in tags:
-                if tag not in bucket_seen:
-                    bucket_seen.add(tag)
-                    bucket_tags.append(tag)
-        for slot in miss_slots:
-            results[slot] = assembled[slot]
 
     def extract_corpus(
         self, entity_reviews: Sequence[Tuple[str, Sequence[Review]]]
@@ -312,26 +238,20 @@ class ExtractionEngine:
     def extract_token_lists(
         self, token_lists: Sequence[Sequence[str]]
     ) -> List[List[SubjectiveTag]]:
-        """Bucketed extraction for raw token lists (utterance micro-batches).
+        """Tags per raw token list (utterances), bucketed like review sentences.
 
-        No cache here — the serving layer already caches per (utterance,
-        generation).  Used by ``SaccsRuntime`` so the utterances of one
-        micro-batch share encoder forwards.
+        The entry point of ``/search`` micro-batches, :meth:`Saccs.answer`
+        and conversation turns, so every utterance shares the ingest path's
+        buckets, precision and tagger lock.
         """
         if not isinstance(self.extractor, TagExtractor):
             raise TypeError("utterance extraction needs a neural TagExtractor")
-        if not token_lists:
-            return []
-        sentences = [list(tokens) for tokens in token_lists]
-        labels = self._tag_sentences(sentences)
-        return self._pair_sentences(sentences, labels)
+        return self._extract_sentences(token_lists)
 
     # ------------------------------------------------------------------ stats
 
     def cache_stats(self) -> Dict[str, object]:
-        """JSON-serialisable cache counters (zeros when caching is off)."""
-        if self.cache is None:
-            return {"enabled": False, "entries": 0, "hits": 0, "misses": 0, "hit_ratio": 0.0}
+        """JSON-serialisable cache counters."""
         hits, misses = self.cache.hits, self.cache.misses
         total = hits + misses
         return {

@@ -12,18 +12,25 @@ two stages are pluggable:
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Set, Tuple
-
-import numpy as np
+from itertools import chain
+from typing import Iterable, List, Sequence, Set, Tuple
 
 from repro.core.heuristics import PairingHeuristic
 from repro.core.pairing import PairingClassifier, PairingInstance
 from repro.core.tagger import SequenceTagger
 from repro.core.tags import SubjectiveTag
 from repro.data.schema import LabeledSentence, Review, Span
+from repro.obs import tracing as obs
 from repro.text.labels import labels_to_spans
 
-__all__ = ["Pairer", "HeuristicPairer", "ClassifierPairer", "TagExtractor", "OracleExtractor"]
+__all__ = [
+    "Pairer",
+    "HeuristicPairer",
+    "ClassifierPairer",
+    "TagExtractor",
+    "OracleExtractor",
+    "review_tags",
+]
 
 Pair = Tuple[Span, Span]
 
@@ -102,26 +109,31 @@ class TagExtractor:
         return self.extract_batch([list(tokens)])[0]
 
     def extract_batch(self, sentences: Sequence[Sequence[str]]) -> List[List[SubjectiveTag]]:
-        """Batched extraction (tagger runs once over the whole batch)."""
+        """Batched extraction: one tagger forward, then pairing per sentence.
+
+        The tagger opens ``extract.encode`` / ``extract.decode`` and the
+        pairing loop opens ``extract.pair`` in the active trace.
+        """
         if not sentences:
             return []
         labels = self.tagger.predict([list(s) for s in sentences])
-        out: List[List[SubjectiveTag]] = []
-        for tokens, label_seq in zip(sentences, labels):
-            aspect_spans, opinion_spans = labels_to_spans(label_seq)
-            out.append(_pairs_to_tags(tokens, self.pairer.pair(tokens, aspect_spans, opinion_spans)))
-        return out
+        with obs.span("extract.pair"):
+            out: List[List[SubjectiveTag]] = []
+            for tokens, label_seq in zip(sentences, labels):
+                aspect_spans, opinion_spans = labels_to_spans(label_seq)
+                out.append(
+                    _pairs_to_tags(tokens, self.pairer.pair(tokens, aspect_spans, opinion_spans))
+                )
+            return out
 
     def extract_review(self, review: Review) -> List[SubjectiveTag]:
-        """All tags across a review's sentences (deduplicated, order-stable)."""
-        tags: List[SubjectiveTag] = []
-        seen = set()
-        for sentence_tags in self.extract_batch([s.tokens for s in review.sentences]):
-            for tag in sentence_tags:
-                if tag not in seen:
-                    seen.add(tag)
-                    tags.append(tag)
-        return tags
+        """All tags across a review's sentences (deduplicated, order-stable).
+
+        One tagger call per review: the reference the bucketed
+        :class:`~repro.core.extraction_engine.ExtractionEngine` is tested
+        against.
+        """
+        return review_tags(self.extract_batch([s.tokens for s in review.sentences]))
 
 
 class OracleExtractor:
@@ -139,14 +151,13 @@ class OracleExtractor:
         return tags
 
     def extract_review(self, review: Review) -> List[SubjectiveTag]:
-        tags: List[SubjectiveTag] = []
-        seen = set()
-        for sentence in review.sentences:
-            for tag in self.extract_sentence(sentence):
-                if tag not in seen:
-                    seen.add(tag)
-                    tags.append(tag)
-        return tags
+        return review_tags(self.extract_sentence(sentence) for sentence in review.sentences)
+
+
+def review_tags(per_sentence: Iterable[Iterable[SubjectiveTag]]) -> List[SubjectiveTag]:
+    """A review's tags from its per-sentence tags: sentence order, first
+    occurrence kept."""
+    return list(dict.fromkeys(chain.from_iterable(per_sentence)))
 
 
 def _pairs_to_tags(tokens: Sequence[str], pairs: Iterable[Pair]) -> List[SubjectiveTag]:

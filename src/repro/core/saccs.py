@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.core.dialog import DialogSystem
-from repro.core.extraction_engine import ExtractionEngine, ExtractionEngineConfig
+from repro.core.extraction_engine import ExtractionEngine
 from repro.core.extractor import OracleExtractor, TagExtractor
 from repro.core.fraud import FakeReviewFilter
 from repro.core.filtering import FilterConfig, filter_and_rank
@@ -82,27 +82,15 @@ class SaccsConfig:
     backfill: bool = True
     review_count_mode: str = "matched"
     theta_mode: str = "static"
-    #: extraction pass: ``"bucketed"`` (corpus-wide length buckets through
-    #: the :class:`~repro.core.extraction_engine.ExtractionEngine`, default)
-    #: or ``"sequential"`` (one extractor call per review — the reference
-    #: oracle the engine is tested against).
-    extraction_mode: str = "bucketed"
     #: sentences per extraction length bucket (one encoder forward each).
+    #: The encoder's precision is the tagger's own
+    #: (:attr:`~repro.core.tagger.SequenceTagger.encoder_precision`).
     extraction_batch_sentences: int = 64
-    #: cache extracted tags per review content hash, making
-    #: :meth:`Saccs.rebuild_index` after small corpus edits incremental.
-    extraction_cache: bool = True
-    #: encoder precision for the tape-free fused inference path used by
-    #: bucketed extraction: ``"float64"`` (bitwise-identical default),
-    #: ``"float32"`` or ``"int8"`` (tolerance-bounded, faster).
-    encoder_precision: str = "float64"
     #: entity shard files a :func:`~repro.core.snapshot.save_snapshot` of
     #: the index writes.  Changes nothing at build or lookup time.
     index_shards: int = 1
 
     def __post_init__(self):
-        if self.extraction_mode not in ("bucketed", "sequential"):
-            raise ValueError("extraction_mode must be 'bucketed' or 'sequential'")
         if self.index_shards < 1:
             raise ValueError("index_shards must be >= 1")
 
@@ -112,13 +100,6 @@ class SaccsConfig:
             top_k=self.top_k,
             mode=self.mode,
             backfill=self.backfill,
-        )
-
-    def extraction_config(self) -> ExtractionEngineConfig:
-        return ExtractionEngineConfig(
-            batch_sentences=self.extraction_batch_sentences,
-            cache_enabled=self.extraction_cache,
-            encoder_precision=self.encoder_precision,
         )
 
 
@@ -144,11 +125,13 @@ class Saccs:
         #: optional fake-review defence (Section 7 future work); suspicious
         #: reviews are dropped before extraction.
         self.review_filter = review_filter
-        #: the corpus-wide batched extraction pass (buckets, pairing pool,
-        #: content-hash cache).  Shared with the serving runtime so utterance
-        #: micro-batches reuse the same buckets and ``/metrics`` sees the
-        #: cache counters.
-        self.extraction_engine = ExtractionEngine(extractor, self.config.extraction_config())
+        #: the one route from text to tags (length buckets, content-hash
+        #: cache, the tagger lock): ingest, :meth:`answer`, conversation
+        #: turns and the serving runtime's utterance micro-batches all go
+        #: through it, and ``/metrics`` sees its cache counters.
+        self.extraction_engine = ExtractionEngine(
+            extractor, self.config.extraction_batch_sentences
+        )
         self.user_tag_history: List[SubjectiveTag] = []
         #: monotonically increasing counter, bumped by every indexing round
         #: (including :meth:`build_index`).  Serving layers stamp cached
@@ -173,11 +156,9 @@ class Saccs:
     def ingest_reviews(self) -> None:
         """Extract subjective tags from every review (the extractor pass).
 
-        With ``extraction_mode="bucketed"`` (default) the whole corpus goes
-        through the :class:`ExtractionEngine` — sentences from all entities
-        flattened, length-bucketed, batch-tagged and paired, with per-review
-        results cached by content hash.  ``"sequential"`` keeps the original
-        one-review-at-a-time loop as the equivalence oracle.
+        The whole corpus goes through the :class:`ExtractionEngine` —
+        sentences from all entities flattened, length-bucketed, batch-tagged
+        and paired, with per-review results cached by content hash.
         """
         self._register_corpus(self.index)
         self._ingested = True
@@ -200,13 +181,7 @@ class Saccs:
             if self.review_filter is not None:
                 reviews = self.review_filter.filter_reviews(reviews)
             entity_reviews.append((entity.entity_id, reviews))
-        if self.config.extraction_mode == "sequential":
-            extracted = [
-                (entity_id, [self.extractor.extract_review(review) for review in reviews])
-                for entity_id, reviews in entity_reviews
-            ]
-        else:
-            extracted = self.extraction_engine.extract_corpus(entity_reviews)
+        extracted = self.extraction_engine.extract_corpus(entity_reviews)
         if pace is not None:
             pace()
         with obs.span("extract.register"):
@@ -320,12 +295,9 @@ class Saccs:
 
     # --------------------------------------------------------------- queries
 
-    def _tag_set(self, tag: SubjectiveTag) -> Dict[str, float]:
-        """Algorithm 1 lines 7–10: exact lookup or similar-tag combination."""
-        return self._tag_sets([tag])[0]
-
     def _tag_sets(self, tags: Sequence[SubjectiveTag]) -> List[Dict[str, float]]:
-        """Per-tag entity sets for a whole utterance with one batched lookup."""
+        """Algorithm 1 lines 7–10 for a whole utterance: per-tag entity sets
+        (exact lookup or similar-tag combination) with one batched lookup."""
         return self._tag_sets_many([tags])[0]
 
     def _tag_sets_many(
@@ -386,38 +358,39 @@ class Saccs:
     def answer_many(
         self,
         tag_lists: Sequence[Sequence[SubjectiveTag]],
-        api_entity_ids: Optional[Sequence[str]] = None,
+        api_entity_ids: Optional[Sequence[Optional[Sequence[str]]]] = None,
     ) -> List[List[Tuple[str, float]]]:
         """Rank entities for many tag queries with one shared index fold.
 
-        Bit-identical to calling :meth:`answer_tags` once per list, in
+        ``api_entity_ids`` holds one API restriction per query (``None``
+        for a query, or for the whole argument, means every entity).
+        Bit-identical to calling :meth:`answer_tags` once per query, in
         order, but unknown tags across the whole batch are resolved with a
         single batched ``lookup_similar`` pass (duplicates deduplicated) —
-        the entry point `repro.serve`'s micro-batching scheduler drains
-        concurrent requests into.
+        the entry point `repro.serve`'s scheduler drains concurrent
+        requests into.
         """
         if api_entity_ids is None:
-            api_entity_ids = [entity.entity_id for entity in self.entities]
+            api_entity_ids = [None] * len(tag_lists)
+        all_ids = [entity.entity_id for entity in self.entities]
         config = self.config.filter_config()
         per_request = self._tag_sets_many([list(tags) for tags in tag_lists])
         with obs.span("rank.filter_and_rank", queries=len(per_request)):
             return [
-                filter_and_rank(api_entity_ids, tag_sets, config)
-                for tag_sets in per_request
+                filter_and_rank(
+                    all_ids if api_ids is None else list(api_ids), tag_sets, config
+                )
+                for tag_sets, api_ids in zip(per_request, api_entity_ids)
             ]
 
     def answer(self, utterance: str) -> List[Tuple[str, float]]:
         """Full conversational path for a natural-language utterance."""
-        api_entities = self.dialog.search(utterance)
-        api_ids = [entity.entity_id for entity in api_entities]
-        if isinstance(self.extractor, TagExtractor):
-            parsed = self.dialog.recognizer.parse(utterance)
-            tags = self.extractor.extract(parsed.tokens)
-        else:
+        if not isinstance(self.extractor, TagExtractor):
             raise TypeError(
                 "answer() needs a TagExtractor (the oracle extractor has no "
                 "gold labels for arbitrary utterances); use answer_tags()"
             )
-        tag_sets = self._tag_sets(tags)
-        with obs.span("rank.filter_and_rank", queries=1):
-            return filter_and_rank(api_ids, tag_sets, self.config.filter_config())
+        api_ids = [entity.entity_id for entity in self.dialog.search(utterance)]
+        parsed = self.dialog.recognizer.parse(utterance)
+        tags = self.extraction_engine.extract_token_lists([parsed.tokens])[0]
+        return self.answer_tags(tags, api_ids)

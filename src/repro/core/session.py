@@ -176,7 +176,8 @@ class ConversationSession:
         # a retraction turn does not add its aspect back; an empty utterance
         # has nothing to extract (and some taggers choke on zero tokens).
         if not removed and extract_tokens:
-            for tag in self.saccs.extractor.extract(list(extract_tokens)):
+            extracted = self.saccs.extraction_engine.extract_token_lists([extract_tokens])
+            for tag in extracted[0]:
                 if tag not in self.active_tags:
                     self.active_tags.append(tag)
                     added.append(tag)
@@ -202,7 +203,7 @@ class ConversationSession:
         api_ids = [e.entity_id for e in self.saccs.dialog.api.search(self.slots)]
         if not self.active_tags:
             return [(entity_id, 0.0) for entity_id in api_ids[: self.top_k]]
-        tag_sets = [self.saccs._tag_set(tag) for tag in self.active_tags]
+        tag_sets = self.saccs._tag_sets(self.active_tags)
         if self.profile is not None:
             dimensions = [self.dimension_of(tag) for tag in self.active_tags]
             return personalized_rank(tag_sets, dimensions, self.profile, api_ids, top_k=self.top_k)

@@ -51,7 +51,8 @@ class SequenceTagger(Module):
             self.crf = LinearChainCRF(NUM_LABELS, rng)
             self.crf.constrain_transitions(forbidden_transitions())
         self.decode_beam = decode_beam
-        #: default precision for :meth:`predict`'s tape-free fused path.
+        #: precision of :meth:`predict`'s tape-free fused path — the one
+        #: precision setting of extraction (ingest, utterances, sessions).
         #: ``"float64"`` replays the training forward bitwise; ``"float32"``
         #: and ``"int8"`` trade tolerance-bounded emission error for speed.
         if encoder_precision not in PRECISIONS:
@@ -127,22 +128,19 @@ class SequenceTagger(Module):
 
     # --------------------------------------------------------------- decoding
 
-    def predict(
-        self,
-        sentences: Sequence[Sequence[str]],
-        precision: Optional[str] = None,
-    ) -> List[List[str]]:
+    def predict(self, sentences: Sequence[Sequence[str]]) -> List[List[str]]:
         """IOB label sequences for a batch of tokenised sentences.
 
         Runs the tape-free fused inference path (:mod:`repro.nn.infer`) at
-        ``precision`` (default :attr:`encoder_precision`); the float64
-        export is bitwise identical to the autograd forward, so the default
-        behaviour is unchanged while skipping all tape construction.
+        :attr:`encoder_precision`; the float64 export is bitwise identical
+        to the autograd forward, so the default behaviour is unchanged
+        while skipping all tape construction.
 
         Opens ``extract.encode`` (BERT→BiLSTM→projection forward) and
         ``extract.decode`` (Viterbi / argmax) spans in the active trace, so
-        every caller — the bucketed engine, the sequential ingest loop, a
-        conversation turn — is attributed the same way (no-ops untraced).
+        every caller — the bucketed engine, the ``extract_review`` reference
+        loop, training-time evaluation — is attributed the same way (no-ops
+        untraced).
         """
         if not sentences:
             return []
@@ -150,7 +148,7 @@ class SequenceTagger(Module):
         self.eval()
         try:
             with obs.span("extract.encode"):
-                model = self.inference_model(precision)
+                model = self.inference_model()
                 batch = self.encoder.batch(sentences)
                 scores = model.emissions(batch)
                 mask = batch.word_mask

@@ -37,7 +37,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.conversation.classify import ROUTE_COUNTERS, ROUTE_SUBJECTIVE
 from repro.conversation.stage import ConversationStage
-from repro.core.filtering import filter_and_rank
 from repro.core.saccs import IndexingRound, Saccs
 from repro.core.session import ConversationSession
 from repro.core.extractor import TagExtractor
@@ -517,10 +516,15 @@ class SaccsRuntime:
             "snapshot": self.snapshot_hash,
             "sessions": len(self.sessions),
             "queue_depth": self._queue.qsize(),
-            # which fused inference precision utterance extraction runs at
-            # (serving caches are keyed per generation, never per precision,
-            # so operators need this visible when comparing deployments).
-            "encoder_precision": self.saccs.extraction_engine.config.encoder_precision,
+            # which fused inference precision the tagger runs at (null under
+            # the oracle extractor).  Serving caches are keyed per
+            # generation, never per precision, so operators need this
+            # visible when comparing deployments.
+            "encoder_precision": (
+                self.saccs.extractor.tagger.encoder_precision
+                if isinstance(self.saccs.extractor, TagExtractor)
+                else None
+            ),
         }
 
     def metrics_snapshot(self) -> Dict[str, object]:
@@ -661,8 +665,8 @@ class SaccsRuntime:
         :meth:`~repro.core.extraction_engine.ExtractionEngine.extract_token_lists`
         call (shared encoder forwards, batch Viterbi), and the extracted
         tags are cached per (utterance, generation).  Then distinct (tags,
-        api-restriction) queries share one :meth:`Saccs._tag_sets_many`
-        fold; duplicates are computed once and every request receives
+        api-restriction) queries share one :meth:`Saccs.answer_many` fold;
+        duplicates are computed once and every request receives
         results bit-identical to a sequential facade call.  Per-request
         ``top_k`` is a post-slice so it cannot perturb scores.
 
@@ -715,24 +719,10 @@ class SaccsRuntime:
                 with self.metrics.time("latency.execute_seconds"):
                     with self._facade_lock:
                         generation = self.saccs.index_generation
-                        tag_sets = self.saccs._tag_sets_many(
-                            [list(p.tags) for p in order]
+                        computed = self.saccs.answer_many(
+                            [p.tags for p in order],
+                            [p.api_entity_ids for p in order],
                         )
-                        config = self.saccs.config.filter_config()
-                        all_ids = [
-                            entity.entity_id for entity in self.saccs.entities
-                        ]
-                        with obs.span("rank.filter_and_rank", queries=len(order)):
-                            computed = []
-                            for pending, sets in zip(order, tag_sets):
-                                api_ids = (
-                                    list(pending.api_entity_ids)
-                                    if pending.api_entity_ids is not None
-                                    else all_ids
-                                )
-                                computed.append(
-                                    filter_and_rank(api_ids, sets, config)
-                                )
         for pending in batch:
             ranked = computed[distinct[(pending.tags, pending.api_entity_ids)]]
             results = ranked[: pending.top_k] if pending.top_k is not None else ranked

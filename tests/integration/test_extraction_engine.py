@@ -1,9 +1,11 @@
 """Integration tests: batched extraction ≡ sequential on the neural stack.
 
 The acceptance bar for the extraction engine: on a seeded world with a real
-(BERT→BiLSTM→CRF) extractor, bucketed/parallel/cached extraction must
-produce exactly the same ``SubjectiveTag`` lists per review — and hence a
-bit-identical index — as the sequential per-review oracle.
+(BERT→BiLSTM→CRF) extractor, bucketed/cached extraction must produce exactly
+the same ``SubjectiveTag`` lists per review — and hence a bit-identical
+index — as the sequential per-review ``extract_review`` oracle.  Every
+utterance path (``Saccs.answer``, ``ConversationSession.say``, ``/search``)
+goes through the same engine, at the tagger's precision, under its lock.
 """
 
 import threading
@@ -13,8 +15,8 @@ import pytest
 
 from repro.bert import PretrainPlan, pretrained_encoder
 from repro.core import (
+    ConversationSession,
     ExtractionEngine,
-    ExtractionEngineConfig,
     HeuristicPairer,
     Saccs,
     SaccsConfig,
@@ -26,6 +28,7 @@ from repro.core import (
     TreePairingHeuristic,
 )
 from repro.data import WorldConfig, build_tagging_dataset, build_world
+from repro.nn import InferenceModel
 from repro.obs import Tracer
 from repro.serve import SaccsRuntime, ServeConfig
 from repro.text import ChunkParser, ConceptualSimilarity, PosLexicon, restaurant_lexicon
@@ -61,7 +64,7 @@ class TestEngineEquivalence:
     def test_bucketed_matches_sequential_per_review(self, extractor, flat_reviews):
         # Tiny buckets force sentences from different reviews to share
         # forwards; pairing then runs serially over the flattened stream.
-        engine = ExtractionEngine(extractor, ExtractionEngineConfig(batch_sentences=5))
+        engine = ExtractionEngine(extractor, batch_sentences=5)
         expected = [extractor.extract_review(review) for review in flat_reviews]
         assert engine.extract_reviews(flat_reviews) == expected
         # Multiset equality per review follows from list equality, but state
@@ -72,11 +75,14 @@ class TestEngineEquivalence:
     def test_saccs_bucketed_index_is_bit_identical(self, world, extractor):
         similarity = ConceptualSimilarity(restaurant_lexicon())
         tags = [SubjectiveTag.from_text(d.name) for d in world.dimensions]
-        sequential = Saccs(
-            world.entities, world.reviews, extractor, similarity,
-            SaccsConfig(extraction_mode="sequential"),
-        )
-        sequential.build_index(tags)
+        # the reference: one extract_review call per review, registered by hand
+        sequential = Saccs(world.entities, world.reviews, extractor, similarity)
+        for entity in world.entities:
+            sequential.index.register_entity(
+                entity.entity_id,
+                [extractor.extract_review(r) for r in world.reviews.get(entity.entity_id, [])],
+            )
+        sequential.index.build(tags)
         bucketed = Saccs(
             world.entities, world.reviews, extractor, similarity,
             SaccsConfig(extraction_batch_sentences=16),
@@ -87,7 +93,7 @@ class TestEngineEquivalence:
             assert bucketed.index.lookup(tag) == sequential.index.lookup(tag)
 
     def test_utterance_batch_matches_single_extract(self, extractor):
-        engine = ExtractionEngine(extractor, ExtractionEngineConfig(batch_sentences=3))
+        engine = ExtractionEngine(extractor, batch_sentences=3)
         utterances = [
             "the food is delicious".split(),
             "i want a place with friendly staff and good pasta".split(),
@@ -98,21 +104,84 @@ class TestEngineEquivalence:
         ]
 
     def test_sequential_ingest_is_attributed_by_extract_spans(self, world, extractor):
+        # bench-extract's sequential baseline: the extract_review loop
+        from repro.core.extraction_bench import _sequential_ingest
+
         saccs = Saccs(
             world.entities, world.reviews, extractor,
             ConceptualSimilarity(restaurant_lexicon()),
-            SaccsConfig(extraction_mode="sequential"),
         )
         tracer = Tracer()
         with tracer.trace("ingest"):
-            saccs.ingest_reviews()
+            _sequential_ingest(saccs)
         spans = tracer.store.recent(1)[0]["spans"]
         names = [item["name"] for item in spans]
         tagged = sum(1 for reviews in world.reviews.values() for r in reviews if r.sentences)
         # one tagger call per review on the sequential path
         assert names.count("extract.encode") == names.count("extract.decode") == tagged
+        assert names.count("extract.pair") == tagged
         assert names.count("extract.register") == 1
         assert {item["parent_id"] for item in spans[1:]} == {spans[0]["span_id"]}
+
+
+class TestOneExtractionPath:
+    """Answer, say and /search all reach the tagger through the engine."""
+
+    @pytest.fixture()
+    def float32_saccs(self, world, extractor):
+        tagger = SequenceTagger(
+            extractor.tagger.encoder, np.random.default_rng(0), encoder_precision="float32"
+        )
+        tagger.load_state_dict(extractor.tagger.state_dict())
+        saccs = Saccs(
+            world.entities,
+            world.reviews,
+            TagExtractor(tagger, extractor.pairer),
+            ConceptualSimilarity(restaurant_lexicon()),
+        )
+        saccs.build_index([SubjectiveTag.from_text(d.name) for d in world.dimensions])
+        return saccs
+
+    def test_every_utterance_path_runs_at_the_tagger_precision(
+        self, float32_saccs, monkeypatch
+    ):
+        precisions = []
+        emissions = InferenceModel.emissions
+
+        def spy(model, batch, capture_attention=False):
+            precisions.append(model.precision)
+            return emissions(model, batch, capture_attention)
+
+        monkeypatch.setattr(InferenceModel, "emissions", spy)
+
+        def forwards(call):
+            precisions.clear()
+            call()
+            return set(precisions)
+
+        session = ConversationSession(float32_saccs, stage=None)
+        with SaccsRuntime(float32_saccs, ServeConfig()) as runtime:
+            assert forwards(lambda: float32_saccs.answer("somewhere with delicious food")) == {
+                "float32"
+            }
+            assert forwards(lambda: session.say("friendly staff please")) == {"float32"}
+            assert forwards(
+                lambda: runtime.search_utterance("cheap drinks and tasty pizza")
+            ) == {"float32"}
+
+    def test_say_waits_on_a_held_tagger_lock(self, float32_saccs):
+        session = ConversationSession(float32_saccs, stage=None)
+        turns = []
+        thread = threading.Thread(
+            target=lambda: turns.append(session.say("a place with friendly staff"))
+        )
+        with float32_saccs.extraction_engine._tagger_lock:
+            thread.start()
+            thread.join(timeout=0.3)
+            assert thread.is_alive() and not turns
+        thread.join(timeout=30.0)
+        assert not thread.is_alive()
+        assert len(turns) == 1 and turns[0].results
 
 
 class TestIncrementalReingest:

@@ -131,6 +131,42 @@ class TestConversationSession:
         assert {"extract.encode", "extract.decode"} <= set(names)
 
 
+    def test_rank_is_one_lookup_equal_to_the_per_tag_composition(self, saccs, monkeypatch):
+        import json
+
+        from repro.core.filtering import filter_and_rank
+
+        unindexed = [
+            SubjectiveTag.from_text("velvety sauces"),
+            SubjectiveTag.from_text("breezy terrace"),
+        ]
+        assert not any(tag in saccs.index for tag in unindexed)
+        active = [unindexed[0], saccs.index.tags[0], unindexed[1]]
+        session = ConversationSession(saccs, top_k=5, stage=None)
+        session.active_tags = list(active)
+
+        start = len(saccs.user_tag_history)
+        per_tag = [saccs._tag_sets([tag])[0] for tag in active]
+        per_tag_history = saccs.user_tag_history[start:]
+        config = saccs.config.filter_config()
+        config.top_k = 5
+        api_ids = [e.entity_id for e in saccs.dialog.api.search({})]
+        expected = filter_and_rank(api_ids, per_tag, config)
+
+        lookups = []
+        batch = saccs.index.lookup_similar_batch
+        monkeypatch.setattr(
+            saccs.index,
+            "lookup_similar_batch",
+            lambda tags, theta: lookups.append(list(tags)) or batch(tags, theta),
+        )
+        start = len(saccs.user_tag_history)
+        ranked = session._rank()
+        assert lookups == [unindexed]
+        assert json.dumps(ranked) == json.dumps(expected)
+        assert saccs.user_tag_history[start:] == per_tag_history == unindexed
+
+
 class TestConversationStageIntegration:
     """The conversation stage in front of the real neural extractor."""
 
@@ -172,13 +208,16 @@ class TestConversationStageIntegration:
         session = ConversationSession(saccs, top_k=5)
         session.say(self.OPENER)
         calls = []
-        original = saccs.extractor.extract
-        saccs.extractor.extract = lambda tokens: (calls.append(1) or original(tokens))
+        engine = saccs.extraction_engine
+        original = engine.extract_token_lists
+        engine.extract_token_lists = lambda token_lists: (
+            calls.append(1) or original(token_lists)
+        )
         try:
             chitchat = session.say("thanks a lot, goodbye")
             objective = session.say("a table for two in montreal")
         finally:
-            saccs.extractor.__dict__.pop("extract", None)
+            engine.__dict__.pop("extract_token_lists", None)
         assert not calls, "chitchat/objective turns must never reach the extractor"
         assert chitchat.route == "chitchat" and chitchat.added_tags == []
         assert objective.route == "objective" and objective.added_tags == []

@@ -88,6 +88,31 @@ class TestParser:
             build_parser().parse_args([*command, flag, "2"])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            (["bench-serve"], "--clients"),
+            (["bench-serve"], "--requests"),
+            (["bench-index"], "--queries"),
+            (["bench-index"], "--index-tags"),
+            (["bench-conv"], "--sessions"),
+        ],
+    )
+    def test_bench_counts_reject_zero(self, command, flag, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args([*command, flag, "0"])
+        assert excinfo.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    def test_bench_conv_keeps_zero_train_epochs(self):
+        assert build_parser().parse_args(["bench-conv", "--train-epochs", "0"]).train_epochs == 0
+
+    def test_serve_encoder_precision_flag_is_gone(self):
+        # the tagger's own encoder_precision is the one precision setting
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["serve", "--encoder-precision", "int8"])
+        assert excinfo.value.code == 2
+
     def test_serve_collector_knobs(self):
         args = build_parser().parse_args(["serve"])
         assert args.no_collector is False

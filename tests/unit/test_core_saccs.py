@@ -169,6 +169,15 @@ class TestIndexGeneration:
         expected = [system.answer_tags(list(q)) for q in queries]
         batched = system.answer_many(queries)
         assert json.dumps(batched) == json.dumps(expected)
+        # per-request API restrictions; None means every entity
+        ids = [entity.entity_id for entity in world.entities]
+        restrictions = [ids[:5], None, ids[3:12], ids[::2]]
+        expected = [
+            system.answer_tags(list(q), api_ids) for q, api_ids in zip(queries, restrictions)
+        ]
+        batched = system.answer_many(queries, restrictions)
+        assert json.dumps(batched) == json.dumps(expected)
+        assert {entity_id for entity_id, _ in batched[0]} <= set(ids[:5])
 
     def test_answer_many_records_history_in_request_order(self, world, similarity):
         system = self.fresh(world, similarity)

@@ -2,17 +2,13 @@
 
 The neural equivalence path is covered by
 ``tests/integration/test_extraction_engine.py``; these tests pin the
-engine's mechanics — bucketing determinism, parallel-pairing ordering, the
+engine's mechanics — bucketing determinism, per-bucket pairing order, the
 content-hash cache, and counters — with a deterministic stub extractor.
 """
 
 import pytest
 
-from repro.core.extraction_engine import (
-    ExtractionCache,
-    ExtractionEngine,
-    ExtractionEngineConfig,
-)
+from repro.core.extraction_engine import ExtractionCache, ExtractionEngine
 from repro.core.extractor import HeuristicPairer, TagExtractor
 from repro.core.heuristics import WordDistanceHeuristic
 from repro.core.tags import SubjectiveTag
@@ -31,7 +27,6 @@ class FakeTagger:
 
     def __init__(self):
         self.batches = []
-        self.precisions = []
 
     def eval(self):
         return self
@@ -39,9 +34,8 @@ class FakeTagger:
     def train(self):
         return self
 
-    def predict(self, sentences, precision=None):
+    def predict(self, sentences):
         self.batches.append([len(s) for s in sentences])
-        self.precisions.append(precision)
         # the stage spans SequenceTagger.predict opens itself
         with tracing.span("extract.encode"):
             pass
@@ -85,15 +79,13 @@ REVIEWS = [
 class TestBucketedExtraction:
     def test_matches_sequential_extract_review(self):
         extractor = fake_extractor()
-        engine = ExtractionEngine(extractor, ExtractionEngineConfig(batch_sentences=2))
+        engine = ExtractionEngine(extractor, batch_sentences=2)
         expected = [extractor.extract_review(r) for r in REVIEWS]
         assert engine.extract_reviews(REVIEWS) == expected
 
     def test_buckets_group_by_length(self):
         extractor = fake_extractor()
-        engine = ExtractionEngine(
-            extractor, ExtractionEngineConfig(batch_sentences=3, cache_enabled=False)
-        )
+        engine = ExtractionEngine(extractor, batch_sentences=3)
         engine.extract_reviews(REVIEWS)
         batches = extractor.tagger.batches
         assert all(len(batch) <= 3 for batch in batches)
@@ -104,7 +96,7 @@ class TestBucketedExtraction:
 
     def test_extract_corpus_splits_per_entity(self):
         extractor = fake_extractor()
-        engine = ExtractionEngine(extractor, ExtractionEngineConfig(batch_sentences=2))
+        engine = ExtractionEngine(extractor, batch_sentences=2)
         out = engine.extract_corpus([("a", REVIEWS[:2]), ("b", REVIEWS[2:]), ("c", [])])
         assert [entity for entity, _ in out] == ["a", "b", "c"]
         assert out[0][1] == [extractor.extract_review(r) for r in REVIEWS[:2]]
@@ -112,7 +104,7 @@ class TestBucketedExtraction:
 
     def test_extract_token_lists_matches_extract(self):
         extractor = fake_extractor()
-        engine = ExtractionEngine(extractor, ExtractionEngineConfig(batch_sentences=2))
+        engine = ExtractionEngine(extractor, batch_sentences=2)
         utterances = [["delicious", "food"], ["slow", "service", "today"], ["nothing"]]
         assert engine.extract_token_lists(utterances) == [
             extractor.extract(u) for u in utterances
@@ -120,7 +112,7 @@ class TestBucketedExtraction:
 
     def test_timings_record_all_stages(self):
         extractor = fake_extractor()
-        engine = ExtractionEngine(extractor, ExtractionEngineConfig(batch_sentences=2))
+        engine = ExtractionEngine(extractor, batch_sentences=2)
         tracer = Tracer()
         with tracer.trace("ingest"):
             engine.extract_reviews(REVIEWS)
@@ -129,14 +121,14 @@ class TestBucketedExtraction:
         buckets = len(extractor.tagger.batches)
         assert buckets > 1
         assert names.count("extract.encode") == names.count("extract.decode") == buckets
-        assert names.count("extract.pair") == 1
+        assert names.count("extract.pair") == buckets
         # every stage is a direct child of the caller's span
         assert {item["parent_id"] for item in spans[1:]} == {spans[0]["span_id"]}
 
 
 class TestExtractionCache:
     def test_warm_rerun_hits_everything(self):
-        engine = ExtractionEngine(fake_extractor(), ExtractionEngineConfig())
+        engine = ExtractionEngine(fake_extractor())
         first = engine.extract_reviews(REVIEWS[:3])
         assert engine.cache.misses == 3 and engine.cache.hits == 0
         second = engine.extract_reviews(REVIEWS[:3])
@@ -144,7 +136,7 @@ class TestExtractionCache:
         assert engine.cache.hits == 3
 
     def test_content_hash_keys_on_text_not_id(self):
-        engine = ExtractionEngine(fake_extractor(), ExtractionEngineConfig())
+        engine = ExtractionEngine(fake_extractor())
         engine.extract_reviews([REVIEWS[0]])
         renamed = Review(
             review_id="different-id",
@@ -155,7 +147,7 @@ class TestExtractionCache:
         assert engine.cache.hits == 1
 
     def test_edited_review_misses_and_retags(self):
-        engine = ExtractionEngine(fake_extractor(), ExtractionEngineConfig())
+        engine = ExtractionEngine(fake_extractor())
         engine.extract_reviews(REVIEWS[:3])
         edited = review("r2", "bland pizza", "the service is friendly now")
         out = engine.extract_reviews([REVIEWS[0], edited, REVIEWS[2]])
@@ -164,7 +156,7 @@ class TestExtractionCache:
 
     def test_metrics_counters_flow_to_registry(self):
         metrics = MetricsRegistry()
-        engine = ExtractionEngine(fake_extractor(), ExtractionEngineConfig(), metrics=metrics)
+        engine = ExtractionEngine(fake_extractor(), metrics=metrics)
         engine.extract_reviews(REVIEWS[:2])
         engine.extract_reviews(REVIEWS[:2])
         assert metrics.counter("extract.cache.miss") == 2
@@ -180,29 +172,12 @@ class TestExtractionCache:
         assert cache.get(keys[0]) is None  # oldest evicted
         assert cache.get(keys[2]) is not None
 
-    def test_cache_disabled_counts_nothing(self):
-        metrics = MetricsRegistry()
-        engine = ExtractionEngine(
-            fake_extractor(), ExtractionEngineConfig(cache_enabled=False), metrics=metrics
-        )
-        engine.extract_reviews(REVIEWS[:2])
-        assert engine.cache is None
-        assert metrics.counter("extract.cache.miss") == 0
-        assert engine.cache_stats() == {
-            "enabled": False,
-            "entries": 0,
-            "hits": 0,
-            "misses": 0,
-            "hit_ratio": 0.0,
-        }
 
 
 class TestConfigValidation:
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
-            ExtractionEngineConfig(batch_sentences=0)
-        with pytest.raises(ValueError):
-            ExtractionEngineConfig(cache_capacity=0)
+            ExtractionEngine(fake_extractor(), batch_sentences=0)
         with pytest.raises(ValueError):
             ExtractionCache(capacity=0)
 

@@ -10,7 +10,6 @@ import pytest
 
 from repro.bert import PretrainPlan, pretrained_encoder
 from repro.core import SequenceTagger, TaggerTrainer, TaggerTrainingConfig
-from repro.core.extraction_engine import ExtractionEngineConfig
 from repro.data import build_tagging_dataset
 from repro.nn import (
     InferenceModel,
@@ -130,8 +129,6 @@ class TestExport:
             tagger.inference_model("bfloat16")
         with pytest.raises(ValueError):
             SequenceTagger(encoder, np.random.default_rng(0), encoder_precision="fp8")
-        with pytest.raises(ValueError):
-            ExtractionEngineConfig(encoder_precision="fp8")
 
 
 # ------------------------------------------------------------------- forward
@@ -184,10 +181,11 @@ class TestFusedForward:
             tagger.bert.forward(batch, capture_attention=True)
         assert all(m is not None for m in tagger.bert.attention_maps())
 
-    def test_predict_tags_identical_across_precisions(self, tagger, sentences):
+    def test_predict_tags_identical_across_precisions(self, tagger, sentences, monkeypatch):
         baseline = tagger.predict(sentences)
         for precision in ("float32", "int8"):
-            assert tagger.predict(sentences, precision=precision) == baseline
+            monkeypatch.setattr(tagger, "encoder_precision", precision)
+            assert tagger.predict(sentences) == baseline
 
 
 # --------------------------------------------------------------- equivalence

@@ -4,6 +4,7 @@ import threading
 
 import pytest
 
+from repro.core.saccs import Saccs
 from repro.serve import (
     GenerationalCache,
     MetricsRegistry,
@@ -403,11 +404,6 @@ class TestServeConfig:
 
 
 class _StubExtractionEngine:
-    def __init__(self):
-        from repro.core.extraction_engine import ExtractionEngineConfig
-
-        self.config = ExtractionEngineConfig()
-
     def bind_metrics(self, metrics):
         self.metrics = metrics
 
@@ -416,6 +412,7 @@ class _StubSaccs:
     """Just enough facade surface for SaccsRuntime's lifecycle paths."""
 
     def __init__(self):
+        self.extractor = None
         self.extraction_engine = _StubExtractionEngine()
         self.index_generation = 0
         self.index = {}
@@ -586,10 +583,13 @@ class _Entity:
 class _AnswerableStubSaccs(_StubSaccs):
     """Stub facade that can answer tag queries through the batched path.
 
+    The runtime ranks through the real :meth:`Saccs.answer_many`;
     ``_tag_sets_many`` returns no subjective signal, so ``filter_and_rank``
     keeps the API order — enough to drive the full queue → worker → resolve
     pipeline (and its tracing) without the neural stack.
     """
+
+    answer_many = Saccs.answer_many
 
     class _Config:
         @staticmethod
