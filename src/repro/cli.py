@@ -669,15 +669,27 @@ def _cmd_datasets(args: argparse.Namespace) -> int:
     return 0
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for counts that must be ≥ 1 (a usage error otherwise)."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-    return value
+def _bounded(convert, accepts, bound: str):
+    """argparse type: ``convert``, then require ``accepts`` (a usage error otherwise)."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {convert.__name__} value: {text!r}") from None
+        if not accepts(value):
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
+        return value
+
+    return parse
+
+
+_positive_int = _bounded(int, lambda v: v >= 1, "a positive integer")
+_non_negative_int = _bounded(int, lambda v: v >= 0, ">= 0")
+_positive_float = _bounded(float, lambda v: v > 0, "> 0")
+_non_negative_float = _bounded(float, lambda v: v >= 0, ">= 0")
+#: a similarity threshold, the open interval SubjectiveTagIndex requires.
+_theta = _bounded(float, lambda v: 0 < v < 1, "in the open interval (0, 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -706,7 +718,7 @@ def build_parser() -> argparse.ArgumentParser:
     build.add_argument("--world", required=True)
     build.add_argument("--out", required=True, help="snapshot directory to write")
     build.add_argument("--tags", nargs="*", help="tags to index (default: the 18 dimensions)")
-    build.add_argument("--theta", type=float, default=0.70)
+    build.add_argument("--theta", type=_theta, default=0.70)
     build.add_argument("--theta-mode", choices=["static", "dynamic"], default="static")
     build.add_argument("--filter-fraud", action="store_true", help="drop suspicious reviews")
     build.set_defaults(func=_cmd_index_build)
@@ -715,7 +727,7 @@ def build_parser() -> argparse.ArgumentParser:
     search.add_argument("--world", required=True)
     search.add_argument("--index", required=True, help="snapshot directory from `index build`")
     search.add_argument("--top-k", type=int, default=10)
-    search.add_argument("--theta", type=float, default=0.60)
+    search.add_argument("--theta", type=_theta, default=0.60)
     search.add_argument("tags", nargs="+", help='subjective tags, e.g. "delicious food"')
     search.set_defaults(func=_cmd_search)
 
@@ -727,8 +739,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8350)
     serve.add_argument("--max-batch-size", type=_positive_int, default=16)
-    serve.add_argument("--cache-size", type=int, default=4096)
-    serve.add_argument("--session-ttl", type=float, default=1800.0)
+    serve.add_argument("--cache-size", type=_non_negative_int, default=4096)
+    serve.add_argument("--session-ttl", type=_positive_float, default=1800.0)
     serve.add_argument(
         "--shards",
         type=_positive_int,
@@ -745,17 +757,17 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-trace", action="store_true", help="disable request tracing"
     )
     serve.add_argument(
-        "--trace-capacity", type=int, default=256, help="recent traces retained"
+        "--trace-capacity", type=_positive_int, default=256, help="recent traces retained"
     )
     serve.add_argument(
         "--trace-sample",
-        type=int,
+        type=_positive_int,
         default=32,
         help="trace 1 of every N requests (1 = trace everything)",
     )
     serve.add_argument(
         "--slow-ms",
-        type=float,
+        type=_non_negative_float,
         default=50.0,
         help="slow-exemplar threshold in milliseconds",
     )
@@ -767,19 +779,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--collector-interval",
-        type=float,
+        type=_positive_float,
         default=1.0,
         help="collector sampling cadence in seconds",
     )
     serve.add_argument(
         "--collector-retention",
-        type=int,
+        type=_positive_int,
         default=512,
         help="time-series points retained in the ring buffer",
     )
     serve.add_argument(
         "--slo-latency-ms",
-        type=float,
+        type=_positive_float,
         default=100.0,
         help="latency-SLO threshold: 99%% of searches must finish within this",
     )

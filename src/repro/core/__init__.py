@@ -14,7 +14,7 @@ from repro.core.evaluation import (
     classification_report,
     span_f1,
 )
-from repro.core.extraction_engine import ExtractionCache, ExtractionEngine
+from repro.core.extraction_engine import ExtractionEngine
 from repro.core.extractor import (
     ClassifierPairer,
     HeuristicPairer,
@@ -68,7 +68,6 @@ __all__ = [
     "ClassifierPairer",
     "ConversationSession",
     "DialogSystem",
-    "ExtractionCache",
     "ExtractionEngine",
     "FakeReviewFilter",
     "FilterConfig",

@@ -246,18 +246,17 @@ def run_extraction_benchmark(
 
     say("variant: warm_cache (unchanged-corpus reingest) ...")
     assert warm_engine is not None
-    hits_before, misses_before = warm_engine.cache.hits, warm_engine.cache.misses
+    hits_before, misses_before = warm_engine.hits, warm_engine.misses
     warm_saccs = _make_saccs(world, extractor, config)
     warm_saccs.extraction_engine = warm_engine  # inherit the populated cache
     seconds, stages = _traced_ingest(warm_saccs)
-    warm_hits = warm_engine.cache.hits - hits_before
-    warm_misses = warm_engine.cache.misses - misses_before
+    warm_hits = warm_engine.hits - hits_before
+    warm_misses = warm_engine.misses - misses_before
     warm_total = warm_hits + warm_misses
     variants["warm_cache"] = {
         "ingest_seconds": seconds,
         "stages": stages,
         "cache": {
-            "enabled": True,
             "entries": len(warm_engine.cache),
             "hits": warm_hits,
             "misses": warm_misses,

@@ -16,15 +16,14 @@ utterance at a time:
    tagger's ``encoder_precision``, the vectorized batch Viterbi
    (:meth:`repro.nn.crf.LinearChainCRF.decode_batch`), then the pairing
    stage (parse trees + heuristics / classifier) sentence by sentence.
-3. **Incremental re-extraction** — an LRU :class:`ExtractionCache` keyed by
-   a content hash of each review's sentence tokens.  Re-ingesting after a
-   small corpus change (``Saccs.rebuild_index`` / ``/admin/reindex`` with
-   ``full=true``) only re-tags new or edited reviews; unchanged reviews are
-   served from the cache.  Hit/miss counters flow into a bound
-   ``MetricsRegistry`` (``extract.cache.hit`` / ``extract.cache.miss``, so
-   ``/metrics`` rolls them into a ratio) and are also kept as plain ints on
-   the cache for metrics-free callers.  Utterances are not cached here —
-   the serving layer caches them per (utterance, generation).
+3. **One text→tags cache** — a :class:`~repro.utils.caching.StampedLRU`
+   keyed by :func:`text_key` and stamped with the tagger's weights version
+   and ``encoder_precision``: retraining or a precision change misses, a
+   reindex does not.  Each call tags only the *distinct* texts it misses,
+   so a re-ingest re-tags only new or edited reviews and a repeated
+   utterance runs no tagger forward.  Hit/miss counts are kept as ints and
+   as ``extract.cache.hit`` / ``extract.cache.miss`` on a bound
+   ``MetricsRegistry``.
 
 Every tagger forward runs under the ``core.extract.tagger`` lock, with
 eval mode held across the buckets of one call.
@@ -41,71 +40,35 @@ re-checks it on every run.
 from __future__ import annotations
 
 import hashlib
-from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.extractor import TagExtractor, review_tags
 from repro.core.tags import SubjectiveTag
 from repro.data.schema import Review
+from repro.utils.caching import StampedLRU
 from repro.utils.locks import make_lock
 
-__all__ = ["CACHE_CAPACITY", "ExtractionCache", "ExtractionEngine"]
+__all__ = ["CACHE_CAPACITY", "ExtractionEngine", "text_key"]
 
-#: reviews the extraction cache retains; oldest-used entries are evicted.
+#: texts (reviews and utterances) the extraction cache retains;
+#: oldest-used entries are evicted.
 CACHE_CAPACITY = 200_000
 
+#: the cache stamp under the oracle extractor, whose gold read never changes.
+_ORACLE_STAMP = "oracle"
 
-class ExtractionCache:
-    """LRU map from review content hash → extracted tag tuple.
 
-    The key is a hash of the review's sentence tokens only — deliberately
-    not the review id — so an edited review misses (its content changed)
-    while an unchanged review hits even if the surrounding corpus was
-    re-shuffled, and byte-identical duplicate reviews share one entry.
+def text_key(sentences: Sequence[Sequence[str]]) -> str:
+    """Content hash of a text's sentence token lists — never a review id.
+
+    Reviews and utterances share one key space: an utterance is a
+    one-sentence text, whose tags pairing already dedups.
     """
-
-    def __init__(self, capacity: int = CACHE_CAPACITY):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
-        self._lock = make_lock("core.extract.cache")
-        self._entries: "OrderedDict[str, Tuple[SubjectiveTag, ...]]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-
-    @staticmethod
-    def key_for(review: Review) -> str:
-        """Content hash of the review's sentence token streams."""
-        digest = hashlib.sha256()
-        for sentence in review.sentences:
-            digest.update("\x1f".join(sentence.tokens).encode("utf-8"))
-            digest.update(b"\x1e")
-        return digest.hexdigest()
-
-    def get(self, key: str) -> Optional[Tuple[SubjectiveTag, ...]]:
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.hits += 1
-            return entry
-
-    def put(self, key: str, tags: Sequence[SubjectiveTag]) -> None:
-        with self._lock:
-            self._entries[key] = tuple(tags)
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+    digest = hashlib.sha256()
+    for tokens in sentences:
+        digest.update("\x1f".join(tokens).encode("utf-8"))
+        digest.update(b"\x1e")
+    return digest.hexdigest()
 
 
 class ExtractionEngine:
@@ -128,7 +91,12 @@ class ExtractionEngine:
         #: :class:`~repro.serve.metrics.MetricsRegistry` (duck-typed here to
         #: keep ``repro.core`` import-independent of ``repro.serve``).
         self.metrics = metrics
-        self.cache = ExtractionCache()
+        self.cache = StampedLRU(CACHE_CAPACITY, "core.extract.cache")
+        self.hits = 0
+        self.misses = 0
+        #: guards the two counters: lookups run on HTTP threads, the worker
+        #: and background rebuilds at once.
+        self._counts_lock = make_lock("core.extract.cache")
         #: serialises tagger access: the neural tagger's eval/train flip and
         #: fused-weight scratch buffers are shared state, and a background
         #: index rebuild extracts the corpus concurrently with serving
@@ -144,6 +112,25 @@ class ExtractionEngine:
             # repro: disable=metric-name-literal — nil-guard forwarder; every
             # call site passes a literal, which the rule checks at those sites.
             self.metrics.incr(name, amount)
+
+    def _count(self, hits: int, misses: int) -> None:
+        with self._counts_lock:
+            self.hits += hits
+            self.misses += misses
+        if hits:
+            self._incr("extract.cache.hit", hits)
+        if misses:
+            self._incr("extract.cache.miss", misses)
+
+    def _stamp(self) -> object:
+        """The model state tags computed now are valid for.  A train-mode
+        tagger's weights may still move: its fresh stamp matches nothing."""
+        if not isinstance(self.extractor, TagExtractor):
+            return _ORACLE_STAMP
+        tagger = self.extractor.tagger
+        if tagger.training:
+            return object()
+        return (tagger._infer_version, tagger.encoder_precision)
 
     # ------------------------------------------------------------ sentences
 
@@ -183,7 +170,49 @@ class ExtractionEngine:
                     tagger.train()
         return out  # type: ignore[return-value]
 
-    # ------------------------------------------------------------------ reviews
+    # -------------------------------------------------------------------- texts
+
+    def _extract(
+        self,
+        texts: Sequence[Sequence[Sequence[str]]],
+        reviews: Optional[Sequence[Review]] = None,
+    ) -> List[List[SubjectiveTag]]:
+        """Tags per text (a list of sentence token lists): look each up, tag
+        each distinct miss once, fill.  Only the oracle reads ``reviews``."""
+        stamp = self._stamp()
+        keys = [text_key(text) for text in texts]
+        results: List[Optional[List[SubjectiveTag]]] = [None] * len(texts)
+        missing: Dict[str, int] = {}  # key → first slot holding that text
+        for slot, key in enumerate(keys):
+            cached = self.cache.get(key, stamp)
+            if cached is None:
+                missing.setdefault(key, slot)
+            else:
+                results[slot] = list(cached)
+        misses = results.count(None)
+        self._count(len(texts) - misses, misses)
+        if not missing:
+            return results  # type: ignore[return-value]
+        slots = list(missing.values())
+        if isinstance(self.extractor, TagExtractor):
+            per_sentence = self._extract_sentences(
+                [tokens for slot in slots for tokens in texts[slot]]
+            )
+            tagged = []
+            start = 0
+            for slot in slots:
+                end = start + len(texts[slot])
+                tagged.append(review_tags(per_sentence[start:end]))
+                start = end
+        else:
+            tagged = [self.extractor.extract_review(reviews[slot]) for slot in slots]
+        fresh = dict(zip(missing, tagged))
+        for key, tags in fresh.items():
+            self.cache.put(key, stamp, tuple(tags))
+        for slot, key in enumerate(keys):
+            if results[slot] is None:
+                results[slot] = list(fresh[key])
+        return results  # type: ignore[return-value]
 
     def extract_reviews(self, reviews: Sequence[Review]) -> List[List[SubjectiveTag]]:
         """Tag lists for a flat review stream (cache → bucket → pair → dedup).
@@ -191,35 +220,8 @@ class ExtractionEngine:
         Identical (same tags, same order) to calling
         ``extractor.extract_review`` once per review.
         """
-        results: List[Optional[List[SubjectiveTag]]] = [None] * len(reviews)
-        keys = [ExtractionCache.key_for(review) for review in reviews]
-        miss_slots: List[int] = []
-        for slot, key in enumerate(keys):
-            cached = self.cache.get(key)
-            if cached is None:
-                self._incr("extract.cache.miss")
-                miss_slots.append(slot)
-            else:
-                self._incr("extract.cache.hit")
-                results[slot] = list(cached)
-        if not miss_slots:
-            return results  # type: ignore[return-value]
-        if isinstance(self.extractor, TagExtractor):
-            sentences = [
-                sentence.tokens for slot in miss_slots for sentence in reviews[slot].sentences
-            ]
-            per_sentence = self._extract_sentences(sentences)
-            start = 0
-            for slot in miss_slots:
-                end = start + len(reviews[slot].sentences)
-                results[slot] = review_tags(per_sentence[start:end])
-                start = end
-        else:
-            for slot in miss_slots:
-                results[slot] = self.extractor.extract_review(reviews[slot])
-        for slot in miss_slots:
-            self.cache.put(keys[slot], results[slot])  # type: ignore[arg-type]
-        return results  # type: ignore[return-value]
+        texts = [[sentence.tokens for sentence in review.sentences] for review in reviews]
+        return self._extract(texts, reviews)
 
     def extract_corpus(
         self, entity_reviews: Sequence[Tuple[str, Sequence[Review]]]
@@ -242,20 +244,27 @@ class ExtractionEngine:
 
         The entry point of ``/search`` micro-batches, :meth:`Saccs.answer`
         and conversation turns, so every utterance shares the ingest path's
-        buckets, precision and tagger lock.
+        cache, buckets, precision and tagger lock.
         """
         if not isinstance(self.extractor, TagExtractor):
             raise TypeError("utterance extraction needs a neural TagExtractor")
-        return self._extract_sentences(token_lists)
+        return self._extract([[tokens] for tokens in token_lists])
+
+    def lookup(self, tokens: Sequence[str]) -> Optional[Tuple[SubjectiveTag, ...]]:
+        """The cached tags of one token list, or ``None``; never tags.  Only
+        a hit counts: the extraction after a miss counts that text."""
+        cached = self.cache.get(text_key([tokens]), self._stamp())
+        if cached is not None:
+            self._count(1, 0)
+        return cached
 
     # ------------------------------------------------------------------ stats
 
     def cache_stats(self) -> Dict[str, object]:
         """JSON-serialisable cache counters."""
-        hits, misses = self.cache.hits, self.cache.misses
+        hits, misses = self.hits, self.misses
         total = hits + misses
         return {
-            "enabled": True,
             "entries": len(self.cache),
             "hits": hits,
             "misses": misses,

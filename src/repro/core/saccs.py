@@ -125,10 +125,11 @@ class Saccs:
         #: optional fake-review defence (Section 7 future work); suspicious
         #: reviews are dropped before extraction.
         self.review_filter = review_filter
-        #: the one route from text to tags (length buckets, content-hash
-        #: cache, the tagger lock): ingest, :meth:`answer`, conversation
-        #: turns and the serving runtime's utterance micro-batches all go
-        #: through it, and ``/metrics`` sees its cache counters.
+        #: the one route from text to tags (length buckets, the one
+        #: model-stamped text→tags cache, the tagger lock): ingest,
+        #: :meth:`answer`, conversation turns and the serving runtime's
+        #: utterances all go through it, and ``/metrics`` sees its cache
+        #: counters.
         self.extraction_engine = ExtractionEngine(
             extractor, self.config.extraction_batch_sentences
         )
@@ -158,7 +159,8 @@ class Saccs:
 
         The whole corpus goes through the :class:`ExtractionEngine` —
         sentences from all entities flattened, length-bucketed, batch-tagged
-        and paired, with per-review results cached by content hash.
+        and paired, with per-review results cached by content hash and
+        model state.
         """
         self._register_corpus(self.index)
         self._ingested = True
@@ -205,7 +207,7 @@ class Saccs:
         engine's content-hash cache makes the pass re-tag only new or edited
         reviews.  The indexed tag set — initial build tags plus every tag
         adopted from the user history — is preserved, rebuilt against the
-        fresh extraction, and the generation bumped so serving caches
+        fresh extraction, and the generation bumped so cached rankings
         invalidate deterministically.
         """
         prepared = self.prepare_rebuild(reviews)

@@ -5,8 +5,8 @@ indexed tag list, written once), one ``shard-NNN.npz`` per entity shard
 (those entities' CSR occurrence slice and degree-of-truth columns, cut from
 :meth:`SubjectiveTagIndex.snapshot_arrays`) and a ``manifest.json``
 recording the index configuration, the indexed tag list, and a sha256 per
-file — the same content-hash keying the ``ExtractionCache`` uses for review
-extractions, extended to index records.  The shard count is the index's
+file — the same content-hash keying the extraction engine's text→tags cache
+uses for reviews and utterances, extended to index records.  The shard count is the index's
 ``num_shards``: it only decides how entities spread over files, and a load
 reassembles the one index that was saved.  ``repro serve --snapshot-dir``
 warm-starts from a snapshot in seconds instead of re-extracting the corpus.

@@ -3,7 +3,7 @@
 Turns the single-threaded :class:`~repro.core.saccs.Saccs` facade into a
 service: a micro-batching scheduler that folds concurrent lookups into the
 facade's batched index path, a TTL-evicting concurrent session store, a
-two-level generation-stamped cache, a lock-safe metrics registry, and a
+generation-stamped ranking cache, a lock-safe metrics registry, and a
 stdlib-only JSON-over-HTTP frontend.  Start one with::
 
     from repro.serve import SaccsHttpServer, SaccsRuntime, ServeConfig
@@ -14,7 +14,7 @@ stdlib-only JSON-over-HTTP frontend.  Start one with::
 or from the command line: ``repro serve`` / ``repro bench-serve``.
 """
 
-from repro.serve.cache import GenerationalCache, ServingCache
+from repro.serve.cache import ServingCache
 from repro.serve.http import SaccsHttpServer
 from repro.serve.metrics import MetricsRegistry, percentile
 from repro.serve.protocol import (
@@ -30,7 +30,6 @@ from repro.serve.runtime import SaccsRuntime, ServeConfig
 from repro.serve.sessions import SessionStore, SessionStoreFull
 
 __all__ = [
-    "GenerationalCache",
     "MetricsRegistry",
     "ProtocolError",
     "ReindexResponse",

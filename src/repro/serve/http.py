@@ -48,6 +48,10 @@ __all__ = ["SaccsHttpServer", "make_handler"]
 #: request bodies larger than this are rejected outright (serving bound).
 MAX_BODY_BYTES = 64 * 1024
 
+#: per-connection socket timeout (``request_timeout_seconds``' default): a
+#: stalled body gets a 408 and an idle keep-alive connection is closed.
+SOCKET_TIMEOUT_SECONDS = 30.0
+
 _SAY_PATH = re.compile(r"^/session/(?P<session_id>[A-Za-z0-9._~-]{1,128})/say$")
 
 _TRACE_PATH = re.compile(r"^/debug/trace/(?P<trace_id>[A-Za-z0-9._-]{1,64})$")
@@ -124,6 +128,7 @@ def make_handler(runtime: SaccsRuntime):
         # Keep the default HTTP/1.1 keep-alive behaviour off balance-free:
         # closed-loop load generators reuse connections when this is 1.1.
         protocol_version = "HTTP/1.1"
+        timeout = SOCKET_TIMEOUT_SECONDS
 
         # ------------------------------------------------------------ plumbing
 
@@ -159,7 +164,15 @@ def make_handler(runtime: SaccsRuntime):
                 )
             if not length and not required:
                 return {}
-            raw = self.rfile.read(length) if length else b""
+            try:
+                raw = self.rfile.read(length) if length else b""
+            except TimeoutError:
+                self.close_connection = True  # the body's tail may still come
+                raise ProtocolError(
+                    f"request body not received within {self.timeout:g}s",
+                    status=408,
+                    code="request_timeout",
+                ) from None
             if not raw:
                 raise ProtocolError("empty request body")
             try:

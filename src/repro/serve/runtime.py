@@ -5,6 +5,9 @@ turns it into a concurrent service.  The pipeline:
 
 1. ``search()`` checks the ranking cache (generation-stamped; a reindex
    invalidates deterministically) and otherwise enqueues the request.
+   ``search_utterance()`` first probes the extraction engine's text→tags
+   cache; a repeated utterance then takes the same ranking-cache probe,
+   and a new one is enqueued as tokens.
 2. One **worker** thread blocks for a request, then takes whatever else is
    already queued (up to ``max_batch_size``) without waiting, and runs that
    batch under the facade lock: the batch's distinct tag queries share one
@@ -67,7 +70,8 @@ class ServeConfig:
 
     #: micro-batch ceiling; 1 disables batching (each request its own batch).
     max_batch_size: int = 16
-    #: entries per cache level; 0 disables caching.
+    #: entries in the ranking cache; 0 disables it.  Extracted tags are
+    #: cached by the extraction engine (``CACHE_CAPACITY``), not here.
     cache_size: int = 4096
     #: idle session time-to-live.
     session_ttl_seconds: float = 1800.0
@@ -109,25 +113,22 @@ class _Pending:
 
     Two kinds share the queue: tag queries (``tags`` set on enqueue) and
     utterance queries (``tags is None`` until the worker extracts them —
-    ``utterance``/``tokens`` carry the input, so every utterance in a
-    micro-batch shares one bucketed encoder forward)."""
+    ``tokens`` carries the input, so every utterance in a micro-batch
+    shares one bucketed encoder forward)."""
 
     __slots__ = ("tags", "top_k", "api_entity_ids", "event", "results", "error",
-                 "generation", "batch_size", "utterance", "tokens", "ctx",
-                 "enqueued_at")
+                 "generation", "batch_size", "tokens", "ctx", "enqueued_at")
 
     def __init__(
         self,
         tags: Optional[Tuple[SubjectiveTag, ...]],
         top_k: Optional[int],
         api_entity_ids: Optional[Tuple[str, ...]],
-        utterance: Optional[str] = None,
         tokens: Optional[Tuple[str, ...]] = None,
     ):
         self.tags = tags
         self.top_k = top_k
         self.api_entity_ids = api_entity_ids
-        self.utterance = utterance
         self.tokens = tokens
         #: root span of the requesting trace; carried across the queue
         #: hand-off so the worker can attribute its stages to this request.
@@ -260,36 +261,36 @@ class SaccsRuntime:
         self,
         tags: Sequence[SubjectiveTag],
         top_k: Optional[int] = None,
-        _api_entity_ids: Optional[Tuple[str, ...]] = None,
     ) -> SearchResponse:
         """Rank entities for ``tags`` through the worker's batches."""
         if not self._running:
             raise RuntimeError("runtime is not started (use `with SaccsRuntime(...)`)")
         self.metrics.incr("requests.search")
         tags = tuple(tags)
-        tag_texts = tuple(tag.text for tag in tags)
         with self.metrics.time("latency.search_seconds"):
             with self.tracer.trace("serve.search", kind="tags", tags=len(tags)):
-                # Snapshot the generation once: the cache probe and the
-                # response stamp must agree, or a reindex landing between
-                # two reads would label old-generation results as new.
-                generation = self.generation
-                cached = self.cache.ranking_for(
-                    tag_texts, top_k, generation, api_entity_ids=_api_entity_ids
-                )
-                if cached is not None:
-                    return SearchResponse(
-                        results=cached,
-                        generation=generation,
-                        cached=True,
-                        batch_size=0,
-                        tags=tag_texts,
-                    )
-                pending = _Pending(tags, top_k, _api_entity_ids)
-                return self._enqueue_and_wait(pending)
+                return self._rank_or_enqueue(_Pending(tags, top_k, None))
 
-    def _enqueue_and_wait(self, pending: _Pending) -> SearchResponse:
-        """Queue one request for the worker and block on its resolution."""
+    def _rank_or_enqueue(self, pending: _Pending) -> SearchResponse:
+        """Answer from the ranking cache if the tags are known, else queue
+        for the worker and wait."""
+        if pending.tags is not None:
+            tag_texts = tuple(tag.text for tag in pending.tags)
+            # Snapshot the generation once: the cache probe and the
+            # response stamp must agree, or a reindex landing between two
+            # reads would label old-generation results as new.
+            generation = self.generation
+            cached = self.cache.ranking_for(
+                tag_texts, pending.top_k, generation, api_entity_ids=pending.api_entity_ids
+            )
+            if cached is not None:
+                return SearchResponse(
+                    results=cached,
+                    generation=generation,
+                    cached=True,
+                    batch_size=0,
+                    tags=tag_texts,
+                )
         active = obs.current_span()
         if active is not None:
             pending.ctx = active
@@ -312,12 +313,11 @@ class SaccsRuntime:
         """Full conversational ``/search``: extract tags, restrict by slots.
 
         Byte-identical to :meth:`Saccs.answer` — the objective slot
-        filtering and the extractor run exactly as the facade would, with
-        the extracted tags cached per (utterance, generation).  On a tags
-        cache miss the *utterance itself* rides the request queue: the
-        worker extracts every utterance in its batch through the extraction
-        engine's bucketed path, so utterances queued together share one
-        encoder forward instead of tagging one by one.
+        filtering and the extractor run exactly as the facade would.  A
+        repeated utterance finds its tags in the extraction engine's cache
+        and goes straight to the ranking-cache probe; on a miss the
+        *tokens* ride the request queue, and the worker extracts every
+        utterance in its batch through one bucketed engine call.
         """
         if not isinstance(self.saccs.extractor, TagExtractor):
             raise ProtocolError(
@@ -326,13 +326,9 @@ class SaccsRuntime:
                 status=501,
                 code="utterances_unavailable",
             )
-        self.metrics.incr("requests.search_utterance")
-        cached = self.cache.tags_for(utterance, self.generation)
-        if cached is not None:
-            tags, api_ids = cached
-            return self.search(tags, top_k=top_k, _api_entity_ids=api_ids)
         if not self._running:
             raise RuntimeError("runtime is not started (use `with SaccsRuntime(...)`)")
+        self.metrics.incr("requests.search_utterance")
         with self.metrics.time("latency.search_seconds"):
             with self.tracer.trace("serve.search", kind="utterance"):
                 # Parsing and the objective-slot API probe are read-only over
@@ -359,10 +355,9 @@ class SaccsRuntime:
                         batch_size=0,
                         tags=(),
                     )
-                pending = _Pending(
-                    None, top_k, api_ids, utterance=utterance, tokens=tuple(parsed.tokens)
-                )
-                return self._enqueue_and_wait(pending)
+                tokens = tuple(parsed.tokens)
+                tags = self.saccs.extraction_engine.lookup(tokens)
+                return self._rank_or_enqueue(_Pending(tags, top_k, api_ids, tokens=tokens))
 
     # --------------------------------------------------------------- sessions
 
@@ -517,9 +512,7 @@ class SaccsRuntime:
             "sessions": len(self.sessions),
             "queue_depth": self._queue.qsize(),
             # which fused inference precision the tagger runs at (null under
-            # the oracle extractor).  Serving caches are keyed per
-            # generation, never per precision, so operators need this
-            # visible when comparing deployments.
+            # the oracle extractor), so operators can compare deployments.
             "encoder_precision": (
                 self.saccs.extractor.tagger.encoder_precision
                 if isinstance(self.saccs.extractor, TagExtractor)
@@ -660,11 +653,11 @@ class SaccsRuntime:
     def _execute_batch(self, batch: List[_Pending]) -> None:
         """Run one batch under the facade lock.
 
-        Utterance requests are tagged first — every distinct utterance in
-        the batch goes through one bucketed
+        Utterance requests are tagged first — the batch's token lists go
+        through one bucketed
         :meth:`~repro.core.extraction_engine.ExtractionEngine.extract_token_lists`
-        call (shared encoder forwards, batch Viterbi), and the extracted
-        tags are cached per (utterance, generation).  Then distinct (tags,
+        call (cache, shared encoder forwards, batch Viterbi; a text queued
+        twice is tagged once).  Then distinct (tags,
         api-restriction) queries share one :meth:`Saccs.answer_many` fold;
         duplicates are computed once and every request receives
         results bit-identical to a sequential facade call.  Per-request
@@ -690,25 +683,13 @@ class SaccsRuntime:
             with obs.span("serve.batch", batch_size=len(batch)):
                 untagged = [pending for pending in batch if pending.tags is None]
                 if untagged:
-                    by_utterance: Dict[str, List[_Pending]] = {}
-                    for pending in untagged:
-                        by_utterance.setdefault(pending.utterance, []).append(pending)
-                    utterances = list(by_utterance)
                     with self.metrics.time("latency.extract_seconds"):
                         with self._facade_lock:
-                            tag_generation = self.saccs.index_generation
                             tag_lists = self.saccs.extraction_engine.extract_token_lists(
-                                [list(by_utterance[u][0].tokens) for u in utterances]
+                                [list(pending.tokens) for pending in untagged]
                             )
-                    for utterance, extracted in zip(utterances, tag_lists):
-                        waiting = by_utterance[utterance]
-                        for pending in waiting:
-                            pending.tags = tuple(extracted)
-                        self.cache.put_tags(
-                            utterance,
-                            tag_generation,
-                            (tuple(extracted), waiting[0].api_entity_ids),
-                        )
+                    for pending, extracted in zip(untagged, tag_lists):
+                        pending.tags = tuple(extracted)
                 distinct: Dict[Tuple, int] = {}
                 order: List[_Pending] = []
                 for pending in batch:

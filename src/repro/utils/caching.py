@@ -1,8 +1,9 @@
-"""On-disk artifact cache for expensive build steps (e.g. BERT pre-training).
+"""Caches: the on-disk artifact cache and the one in-memory LRU class.
 
 Benchmarks pre-train the miniature BERT once and reuse it across tables; the
-cache stores numpy archives keyed by a human-readable name plus a content
-fingerprint of the producing configuration.
+artifact cache stores numpy archives keyed by a human-readable name plus a
+content fingerprint of the producing configuration.  :class:`StampedLRU`
+backs the extraction engine's text→tags cache and the ranking cache.
 """
 
 from __future__ import annotations
@@ -12,12 +13,15 @@ import hashlib
 import json
 import os
 import tempfile
+from collections import OrderedDict
 from pathlib import Path
-from typing import Any, Callable, Dict, Optional, TypeVar
+from typing import Any, Callable, Dict, Optional, Tuple, TypeVar
 
 import numpy as np
 
-__all__ = ["ArtifactCache", "default_cache", "fingerprint", "memoize"]
+from repro.utils.locks import make_lock
+
+__all__ = ["ArtifactCache", "StampedLRU", "default_cache", "fingerprint", "memoize"]
 
 _F = TypeVar("_F", bound=Callable[..., Any])
 
@@ -49,6 +53,58 @@ def fingerprint(config: Any) -> str:
     """Stable short hash of a JSON-serialisable configuration object."""
     payload = json.dumps(config, sort_keys=True, default=str).encode("utf-8")
     return hashlib.sha256(payload).hexdigest()[:16]
+
+
+class StampedLRU:
+    """A thread-safe LRU map whose entries expire by stamp.
+
+    Each entry carries the stamp of the state it was computed under (an
+    index generation, a model version); ``get`` misses, and drops the
+    entry, when the caller's stamp differs, so invalidation is lazy and
+    exact.  ``max_size=0`` disables the cache.  ``lock_name`` is the
+    lock's order name in :data:`repro.utils.locks.CANONICAL_ORDER`.
+    """
+
+    def __init__(self, max_size: int, lock_name: str):
+        if max_size < 0:
+            raise ValueError("max_size must be >= 0")
+        self.max_size = max_size
+        self._lock = make_lock(lock_name)
+        self._entries: "OrderedDict[str, Tuple[Any, Any]]" = OrderedDict()
+
+    def get(self, key: str, stamp: Any) -> Any:
+        """The cached value, or ``None`` on miss / stamp mismatch."""
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None:
+                return None
+            stored_stamp, value = entry
+            if stored_stamp != stamp:
+                del self._entries[key]
+                return None
+            self._entries.move_to_end(key)
+            return value
+
+    def put(self, key: str, stamp: Any, value: Any) -> None:
+        with self._lock:
+            if self.max_size == 0:
+                return
+            self._entries[key] = (stamp, value)
+            self._entries.move_to_end(key)
+            while len(self._entries) > self.max_size:
+                self._entries.popitem(last=False)
+
+    def purge_older_than(self, stamp: Any) -> int:
+        """Eagerly drop entries stamped before ``stamp`` (ordered stamps only)."""
+        with self._lock:
+            stale = [key for key, (stored, _) in self._entries.items() if stored < stamp]
+            for key in stale:
+                del self._entries[key]
+            return len(stale)
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._entries)
 
 
 class ArtifactCache:

@@ -190,16 +190,16 @@ class TestIncrementalReingest:
         tags = [SubjectiveTag.from_text(d.name) for d in world.dimensions]
         saccs = Saccs(world.entities, world.reviews, extractor, similarity, SaccsConfig())
         saccs.build_index(tags)
-        cache = saccs.extraction_engine.cache
+        engine = saccs.extraction_engine
         total = sum(len(reviews) for reviews in world.reviews.values())
-        hits0, misses0 = cache.hits, cache.misses
+        hits0, misses0 = engine.hits, engine.misses
         assert hits0 + misses0 == total
 
         # Unchanged corpus: every review hits, nothing is re-tagged.
         generation = saccs.index_generation
         saccs.rebuild_index()
-        assert cache.hits == hits0 + total
-        assert cache.misses == misses0
+        assert engine.hits == hits0 + total
+        assert engine.misses == misses0
         assert saccs.index_generation == generation + 1
 
         # Edit one review (swap in an edited copy): exactly one new miss.
@@ -215,9 +215,9 @@ class TestIncrementalReingest:
         )
         updated = dict(world.reviews)
         updated[entity_id] = [edited] + list(world.reviews[entity_id][1:])
-        misses_before = cache.misses
+        misses_before = engine.misses
         saccs.rebuild_index(updated)
-        assert cache.misses == misses_before + 1
+        assert engine.misses == misses_before + 1
 
 
 class TestRuntimeUtteranceBatching:
@@ -263,11 +263,84 @@ class TestRuntimeUtteranceBatching:
 
     def test_full_reindex_reuses_the_extraction_cache(self, runtime):
         total = sum(len(r) for r in runtime.saccs.reviews.values())
-        hits_before = runtime.saccs.extraction_engine.cache.hits
+        hits_before = runtime.saccs.extraction_engine.hits
         response = runtime.reindex(full=True)
         assert response.full
-        assert runtime.saccs.extraction_engine.cache.hits == hits_before + total
+        assert runtime.saccs.extraction_engine.hits == hits_before + total
         assert runtime.metrics.counter("extract.cache.hit") >= total
+
+    def test_reindex_then_repeat_hits_the_engine_cache(self, runtime, monkeypatch):
+        engine = runtime.saccs.extraction_engine
+        first = runtime.search_utterance("a place with friendly staff")
+        runtime.reindex()
+        calls = []
+        monkeypatch.setattr(
+            engine.extractor.tagger, "predict", lambda sentences: calls.append(sentences)
+        )
+        hits = engine.hits
+        again = runtime.search_utterance("a place with friendly staff")
+        assert calls == [] and engine.hits == hits + 1
+        assert again.generation == first.generation + 1 and not again.cached
+        assert again.tags == first.tags
+
+    def test_a_cached_utterance_counts_once(self, runtime):
+        for _ in range(3):
+            runtime.search_utterance("somewhere with delicious food")
+        assert runtime.metrics.counter("requests.search_utterance") == 3
+        assert runtime.metrics.counter("requests.search") == 0
+
+
+class TestOneTextCache:
+    """Reviews and utterances share the engine's model-stamped cache."""
+
+    @pytest.mark.parametrize("change", ["retrain", "precision"])
+    def test_a_model_change_misses_reviews_and_utterances(
+        self, extractor, flat_reviews, change
+    ):
+        tagger = extractor.tagger
+        engine = ExtractionEngine(extractor)
+        reviews, utterance = flat_reviews[:3], "friendly staff and cheap beer".split()
+        engine.extract_reviews(reviews)
+        engine.extract_token_lists([utterance])
+        engine.extract_reviews(reviews)
+        engine.extract_token_lists([utterance])
+        assert (engine.hits, engine.misses) == (4, 4)
+        precision = tagger.encoder_precision
+        try:
+            if change == "retrain":
+                tagger.train()
+                tagger.eval()
+            else:
+                tagger.encoder_precision = "float32"
+            engine.extract_reviews(reviews)
+            engine.extract_token_lists([utterance])
+        finally:
+            tagger.encoder_precision = precision
+        assert (engine.hits, engine.misses) == (4, 8)
+
+    def test_two_sessions_saying_the_same_turn_run_one_forward(
+        self, world, extractor, monkeypatch
+    ):
+        saccs = Saccs(
+            world.entities,
+            world.reviews,
+            extractor,
+            ConceptualSimilarity(restaurant_lexicon()),
+        )
+        saccs.build_index([SubjectiveTag.from_text(d.name) for d in world.dimensions])
+        forwards = []
+        predict = extractor.tagger.predict
+        monkeypatch.setattr(
+            extractor.tagger,
+            "predict",
+            lambda sentences: forwards.append(len(sentences)) or predict(sentences),
+        )
+        turns = [
+            ConversationSession(saccs).say("a place with delicious food") for _ in range(2)
+        ]
+        assert forwards == [1]
+        assert turns[0].added_tags == turns[1].added_tags
+        assert turns[0].results == turns[1].results
 
 
 @pytest.mark.slow

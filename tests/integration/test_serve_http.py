@@ -323,6 +323,44 @@ class TestHttpSurface:
         assert excinfo.value.code == 501
 
 
+class TestStalledClient:
+    def test_a_stalled_body_gets_a_408_and_frees_the_handler(self, world, monkeypatch):
+        from repro.serve import http as http_module
+
+        monkeypatch.setattr(http_module, "SOCKET_TIMEOUT_SECONDS", 0.2)
+        runtime = SaccsRuntime(
+            _oracle_saccs(world), ServeConfig(collector_enabled=False)
+        )
+        with SaccsHttpServer(runtime) as server:
+            before = set(threading.enumerate())
+            # promises 100 bytes, sends 10, then stalls without closing
+            request = (
+                b"POST /search HTTP/1.1\r\nHost: test\r\n"
+                b"Content-Length: 100\r\n\r\n" + b'{"tags": ['
+            )
+            started = time.monotonic()
+            with socket.create_connection((server.host, server.port), timeout=5.0) as sock:
+                sock.sendall(request)
+                handlers = []
+                while not handlers and time.monotonic() - started < 0.15:
+                    time.sleep(0.005)
+                    handlers = [t for t in set(threading.enumerate()) - before if t.daemon]
+                response = b""
+                while chunk := sock.recv(4096):  # the server closes after replying
+                    response += chunk
+            waited = time.monotonic() - started
+            for thread in handlers:
+                thread.join(timeout=5.0)
+            counters = runtime.metrics_snapshot()["counters"]
+        head, _, payload = response.partition(b"\r\n\r\n")
+        assert head.split(b"\r\n")[0].split()[1] == b"408"
+        assert json.loads(payload)["error"]["code"] == "request_timeout"
+        assert 0.2 <= waited < 5.0
+        assert handlers and not any(thread.is_alive() for thread in handlers)
+        assert counters["errors.client"] == 1
+        assert counters.get("errors.server", 0) == 0
+
+
 class TestSessionsOverHttp:
     @pytest.fixture(scope="class")
     def neural_saccs(self, world):

@@ -125,10 +125,16 @@ class TestConversationSession:
     def test_say_is_attributed_by_extract_spans(self, saccs):
         session = ConversationSession(saccs, top_k=3)
         tracer = Tracer()
+        # a turn no other test says: a repeat is served by the extraction
+        # engine's cache and runs no tagger forward to attribute
         with tracer.trace("turn"):
-            session.say("a restaurant with delicious food")
+            session.say("a restaurant with tasty pasta by the river")
         names = [item["name"] for item in tracer.store.recent(1)[0]["spans"]]
         assert {"extract.encode", "extract.decode"} <= set(names)
+        with tracer.trace("repeat"):
+            ConversationSession(saccs, top_k=3).say("a restaurant with tasty pasta by the river")
+        names = [item["name"] for item in tracer.store.recent(1)[0]["spans"]]
+        assert not {"extract.encode", "extract.decode"} & set(names)
 
 
     def test_rank_is_one_lookup_equal_to_the_per_tag_composition(self, saccs, monkeypatch):

@@ -104,6 +104,35 @@ class TestParser:
         assert excinfo.value.code == 2
         assert flag in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, flag, bad, good",
+        [
+            (["index", "build", "--world", "w", "--out", "o"], "--theta", "1.5", "0.5"),
+            (["index", "build", "--world", "w", "--out", "o"], "--theta", "0", "0.9"),
+            (["search", "--world", "w", "--index", "i", "x"], "--theta", "1.5", "0.5"),
+            (["search", "--world", "w", "--index", "i", "x"], "--theta", "-0.1", "0.1"),
+            (["search", "--world", "w", "--index", "i", "x"], "--theta", "nan", "0.6"),
+            (["serve"], "--cache-size", "-1", "0"),
+            (["serve"], "--session-ttl", "0", "0.5"),
+            (["serve"], "--collector-interval", "0", "0.1"),
+            (["serve"], "--slo-latency-ms", "-5", "250"),
+            (["serve"], "--trace-capacity", "0", "1"),
+            (["serve"], "--trace-sample", "0", "1"),
+            (["serve"], "--collector-retention", "0", "1"),
+            (["serve"], "--slow-ms", "-1", "0"),
+            (["serve"], "--slow-ms", "fast", "12.5"),
+        ],
+    )
+    def test_numeric_flags_out_of_bounds_are_usage_errors(
+        self, command, flag, bad, good, capsys
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args([*command, flag, bad])
+        assert excinfo.value.code == 2
+        assert flag in capsys.readouterr().err
+        args = build_parser().parse_args([*command, flag, good])
+        assert getattr(args, flag[2:].replace("-", "_")) == float(good)
+
     def test_bench_conv_keeps_zero_train_epochs(self):
         assert build_parser().parse_args(["bench-conv", "--train-epochs", "0"]).train_epochs == 0
 

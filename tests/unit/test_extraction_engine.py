@@ -3,35 +3,45 @@
 The neural equivalence path is covered by
 ``tests/integration/test_extraction_engine.py``; these tests pin the
 engine's mechanics — bucketing determinism, per-bucket pairing order, the
-content-hash cache, and counters — with a deterministic stub extractor.
+one model-stamped text→tags cache, and counters — with a deterministic stub
+extractor.
 """
 
 import pytest
 
-from repro.core.extraction_engine import ExtractionCache, ExtractionEngine
+from repro.core.extraction_engine import CACHE_CAPACITY, ExtractionEngine, text_key
 from repro.core.extractor import HeuristicPairer, TagExtractor
 from repro.core.heuristics import WordDistanceHeuristic
 from repro.core.tags import SubjectiveTag
 from repro.data.schema import LabeledSentence, Review
 from repro.obs import Tracer, tracing
 from repro.serve.metrics import MetricsRegistry
+from repro.utils.caching import StampedLRU
 
 ASPECTS = {"food", "staff", "pizza", "service"}
 OPINIONS = {"delicious", "friendly", "bland", "slow"}
 
 
 class FakeTagger:
-    """Deterministic per-token lexicon tagger; counts predict batches."""
+    """Deterministic per-token lexicon tagger; counts predict batches.
+
+    Mirrors the cache-relevant state of ``SequenceTagger``: ``train()``
+    bumps the weights version, and ``encoder_precision`` is settable."""
 
     training = False
+    encoder_precision = "float64"
 
     def __init__(self):
         self.batches = []
+        self._infer_version = 0
 
     def eval(self):
+        self.training = False
         return self
 
     def train(self):
+        self.training = True
+        self._infer_version += 1
         return self
 
     def predict(self, sentences):
@@ -126,14 +136,19 @@ class TestBucketedExtraction:
         assert {item["parent_id"] for item in spans[1:]} == {spans[0]["span_id"]}
 
 
+def tagged_sentences(extractor) -> int:
+    """Sentences the fake tagger has run a forward over so far."""
+    return sum(len(batch) for batch in extractor.tagger.batches)
+
+
 class TestExtractionCache:
     def test_warm_rerun_hits_everything(self):
         engine = ExtractionEngine(fake_extractor())
         first = engine.extract_reviews(REVIEWS[:3])
-        assert engine.cache.misses == 3 and engine.cache.hits == 0
+        assert engine.misses == 3 and engine.hits == 0
         second = engine.extract_reviews(REVIEWS[:3])
         assert second == first
-        assert engine.cache.hits == 3
+        assert engine.hits == 3
 
     def test_content_hash_keys_on_text_not_id(self):
         engine = ExtractionEngine(fake_extractor())
@@ -144,14 +159,14 @@ class TestExtractionCache:
             sentences=REVIEWS[0].sentences,
         )
         engine.extract_reviews([renamed])
-        assert engine.cache.hits == 1
+        assert engine.hits == 1
 
     def test_edited_review_misses_and_retags(self):
         engine = ExtractionEngine(fake_extractor())
         engine.extract_reviews(REVIEWS[:3])
         edited = review("r2", "bland pizza", "the service is friendly now")
         out = engine.extract_reviews([REVIEWS[0], edited, REVIEWS[2]])
-        assert engine.cache.hits == 2 and engine.cache.misses == 4
+        assert engine.hits == 2 and engine.misses == 4
         assert SubjectiveTag("service", "friendly") in out[1]
 
     def test_metrics_counters_flow_to_registry(self):
@@ -164,13 +179,82 @@ class TestExtractionCache:
         assert metrics.snapshot()["ratios"]["extract.cache"] == pytest.approx(0.5)
 
     def test_lru_eviction_respects_capacity(self):
-        cache = ExtractionCache(capacity=2)
-        keys = [ExtractionCache.key_for(r) for r in REVIEWS[:3]]
+        assert ExtractionEngine(fake_extractor()).cache.max_size == CACHE_CAPACITY
+        cache = StampedLRU(2, "core.extract.cache")
+        keys = [text_key([s.tokens for s in r.sentences]) for r in REVIEWS[:3]]
         for key in keys:
-            cache.put(key, ())
+            cache.put(key, "model", ())
         assert len(cache) == 2
-        assert cache.get(keys[0]) is None  # oldest evicted
-        assert cache.get(keys[2]) is not None
+        assert cache.get(keys[0], "model") is None  # oldest evicted
+        assert cache.get(keys[2], "model") is not None
+
+    def test_a_text_twice_in_one_call_is_tagged_once(self):
+        extractor = fake_extractor()
+        engine = ExtractionEngine(extractor)
+        utterances = [["delicious", "food"], ["slow", "service"], ["delicious", "food"]]
+        expected = [extractor.extract(u) for u in utterances]
+        before = tagged_sentences(extractor)
+        assert engine.extract_token_lists(utterances) == expected
+        assert tagged_sentences(extractor) - before == 2
+        # duplicate reviews (two sentences each) in one ingest are tagged once
+        engine.extract_reviews([REVIEWS[0], REVIEWS[3]])
+        assert tagged_sentences(extractor) - before == 4
+
+    def test_utterances_hit_across_calls_and_share_the_review_key(self):
+        extractor = fake_extractor()
+        engine = ExtractionEngine(extractor)
+        engine.extract_reviews([review("r9", "the food is delicious")])
+        out = engine.extract_token_lists([["the", "food", "is", "delicious"]])
+        assert out == [[SubjectiveTag("food", "delicious")]]
+        engine.extract_token_lists([["slow", "service"]])
+        engine.extract_token_lists([["slow", "service"]])
+        assert tagged_sentences(extractor) == 2
+        assert (engine.hits, engine.misses) == (2, 2)
+
+    @pytest.mark.parametrize("change", ["retrain", "precision"])
+    def test_a_model_change_misses(self, change):
+        extractor = fake_extractor()
+        engine = ExtractionEngine(extractor)
+        engine.extract_reviews(REVIEWS[:1])
+        engine.extract_token_lists([["delicious", "food"]])
+        if change == "retrain":
+            extractor.tagger.train()
+            extractor.tagger.eval()
+        else:
+            extractor.tagger.encoder_precision = "int8"
+        engine.extract_reviews(REVIEWS[:1])
+        engine.extract_token_lists([["delicious", "food"]])
+        assert engine.hits == 0 and engine.misses == 4
+        assert engine.lookup(["delicious", "food"]) is not None  # re-filled
+
+    def test_a_train_mode_tagger_never_hits(self):
+        extractor = fake_extractor()
+        extractor.tagger.train()
+        engine = ExtractionEngine(extractor)
+        for _ in range(3):
+            engine.extract_reviews(REVIEWS[:1])
+            engine.extract_token_lists([["delicious", "food"]])
+        assert engine.hits == 0 and engine.misses == 6
+        assert engine.lookup(["delicious", "food"]) is None
+        assert extractor.tagger.training  # the engine restored train mode
+
+    def test_lookup_is_read_only_and_counts_only_hits(self):
+        extractor = fake_extractor()
+        engine = ExtractionEngine(extractor)
+        assert engine.lookup(["delicious", "food"]) is None
+        assert (engine.hits, engine.misses, len(engine.cache)) == (0, 0, 0)
+        assert extractor.tagger.batches == []
+        engine.extract_token_lists([["delicious", "food"]])
+        assert engine.lookup(["delicious", "food"]) == (SubjectiveTag("food", "delicious"),)
+        assert (engine.hits, engine.misses) == (1, 1)
+
+    def test_oracle_reviews_are_cached_under_a_constant_stamp(self):
+        from repro.core.extractor import OracleExtractor
+
+        engine = ExtractionEngine(OracleExtractor())
+        first = engine.extract_reviews(REVIEWS)
+        assert engine.extract_reviews(REVIEWS) == first
+        assert engine.hits == 4 and engine.misses == 4
 
 
 
@@ -179,7 +263,7 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ExtractionEngine(fake_extractor(), batch_sentences=0)
         with pytest.raises(ValueError):
-            ExtractionCache(capacity=0)
+            StampedLRU(-1, "core.extract.cache")
 
     def test_oracle_extractor_cannot_tag_utterances(self):
         from repro.core.extractor import OracleExtractor

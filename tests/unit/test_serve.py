@@ -6,7 +6,6 @@ import pytest
 
 from repro.core.saccs import Saccs
 from repro.serve import (
-    GenerationalCache,
     MetricsRegistry,
     ProtocolError,
     SayRequest,
@@ -18,6 +17,7 @@ from repro.serve import (
     error_payload,
     percentile,
 )
+from repro.utils.caching import StampedLRU
 
 
 class TestPercentile:
@@ -177,20 +177,23 @@ class TestMetricsRegistry:
 
 
 class TestGenerationalCache:
+    """The one LRU class, stamped with index generations as the ranking
+    cache stamps it."""
+
     def test_put_get_same_generation(self):
-        cache = GenerationalCache()
+        cache = StampedLRU(4096, "serve.cache")
         cache.put("k", 1, "value")
         assert cache.get("k", 1) == "value"
 
     def test_generation_mismatch_misses_and_evicts(self):
-        cache = GenerationalCache()
+        cache = StampedLRU(4096, "serve.cache")
         cache.put("k", 1, "stale")
         assert cache.get("k", 2) is None
         assert len(cache) == 0  # the stale entry is gone
         assert cache.get("k", 1) is None  # even asking for the old generation
 
     def test_lru_bound(self):
-        cache = GenerationalCache(max_size=2)
+        cache = StampedLRU(2, "serve.cache")
         cache.put("a", 1, 1)
         cache.put("b", 1, 2)
         cache.get("a", 1)  # refresh a
@@ -200,13 +203,13 @@ class TestGenerationalCache:
         assert cache.get("c", 1) == 3
 
     def test_zero_size_disables(self):
-        cache = GenerationalCache(max_size=0)
+        cache = StampedLRU(0, "serve.cache")
         cache.put("k", 1, "v")
         assert cache.get("k", 1) is None
         assert len(cache) == 0
 
     def test_purge_older_than(self):
-        cache = GenerationalCache()
+        cache = StampedLRU(4096, "serve.cache")
         cache.put("old", 1, 1)
         cache.put("new", 2, 2)
         assert cache.purge_older_than(2) == 1
@@ -215,7 +218,7 @@ class TestGenerationalCache:
 
     def test_negative_size_rejected(self):
         with pytest.raises(ValueError):
-            GenerationalCache(max_size=-1)
+            StampedLRU(-1, "serve.cache")
 
 
 class TestServingCache:
@@ -234,17 +237,13 @@ class TestServingCache:
         assert cache.ranking_for(("t",), 10, 1) is None
         assert cache.ranking_for(("t",), 5, 1) == "five"
 
-    def test_utterance_normalisation(self):
+    def test_sweep_drops_pre_generation_rankings(self):
         cache = ServingCache(16)
-        cache.put_tags("Delicious   Food", 1, "tags")
-        assert cache.tags_for("delicious food", 1) == "tags"
-
-    def test_invalidate_before_sweeps_both_levels(self):
-        cache = ServingCache(16)
-        cache.put_tags("hello", 1, "t")
         cache.put_ranking(("a",), None, 1, "r")
-        assert cache.invalidate_before(2) == 2
-        assert cache.tags_for("hello", 1) is None
+        cache.put_ranking(("b",), None, 2, "s")
+        assert cache.sweep(2) == 1
+        assert len(cache.rankings) == 1
+        assert cache.ranking_for(("b",), None, 2) == "s"
 
 
 class TestSessionStore:
