@@ -12,24 +12,17 @@ indexing/ranking effects are isolated from tagger quality):
 * **similarity thresholds** — a θ_index sweep (Section 7 flags dynamic
   thresholds as future work).
 
-Plus the **index benchmark** (shared with ``repro bench-index``): scalar
-reference index vs the served index, shard-count cells vs the dense legacy
+Plus the **index suite** (what ``repro bench index`` runs): scalar
+reference index vs the served index, the served index vs the dense legacy
 combine, snapshot warm-start timing, and search availability during a
-background rebuild — recorded to ``BENCH_index.json``.
+background rebuild — held to the suite registry's gates.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from benchmarks.common import (
-    bench_entities,
-    bench_index_workload,
-    bench_queries,
-    bench_reviews,
-    print_table,
-    write_bench_record,
-)
+from benchmarks.common import bench_entities, bench_queries, bench_reviews, print_table
 from repro.core import OracleExtractor, Saccs, SaccsConfig, SubjectiveTag
 from repro.data import (
     CatalogConfig,
@@ -116,50 +109,16 @@ def test_ablation_intersection_mode(benchmark, setup):
 
 
 def test_scalar_vs_vectorized_index(benchmark):
-    """The full index bench: backends, shard cells, snapshot, availability.
+    """The index suite at its default sizes, held to every registry gate.
 
-    Delegates to :mod:`repro.core.bench_index` (what ``repro bench-index``
-    runs) so the pytest bench and the CLI produce the same
-    ``BENCH_index.json`` record shape, then asserts the committed-record
-    bars: scalar→vectorized ≥5× with ≤1e-9 drift, every shard-count cell
-    byte-identical to the 1-shard index with shard8 ≥1.5× over the
-    dense legacy combine, snapshot round-trip rankings identical, and
-    search p99 during a background rebuild ≤3× idle.
+    ``BENCH_index.json`` has one producer, ``repro bench index``; this
+    bench only runs the suite and checks it.
     """
-    from repro.core.bench_index import run_index_benchmark
+    from repro.bench import SUITES, evaluate, render_verdicts
 
-    sizes = bench_index_workload()
-    payload = run_index_benchmark(
-        entities=sizes["entities"],
-        review_tags=sizes["review_tags"],
-        index_tags=sizes["index_tags"],
-        queries=sizes["queries"],
-        progress=print,
-    )
-    speedup = payload["speedup"]
-    print_table(
-        "Backend: scalar oracle vs vectorized kernel",
-        ["build", "lookup", "total"],
-        [[f"{speedup['build']:.1f}x", f"{speedup['lookup']:.1f}x", f"{speedup['total']:.1f}x"]],
-    )
-    cells = payload["shards"]["cells"]
-    print_table(
-        "Sharded lookups vs dense legacy combine",
-        ["cell", "lookup (s)", "vs dense"],
-        [
-            [name, f"{cell['lookup_seconds']:.3f}", f"{cell['lookup_speedup_vs_dense']:.2f}x"]
-            for name, cell in cells.items()
-        ],
-    )
-    record_path = write_bench_record("index", payload)
-    print(f"wrote {record_path}")
-    assert payload["max_abs_delta"] <= 1e-9
-    assert speedup["total"] >= 5.0
-    assert payload["shards"]["identical_to_oracle"] is True
-    assert cells["shard8"]["lookup_speedup_vs_dense"] >= 1.5
-    assert payload["snapshot"]["rankings_identical"] is True
-    assert payload["availability"]["availability_ratio"] <= 3.0
-    assert payload["availability"]["generation_monotonic"] is True
+    verdicts = evaluate("index", SUITES["index"].run())
+    print(render_verdicts(verdicts))
+    assert all(verdict.ok for verdict in verdicts)
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
 
 

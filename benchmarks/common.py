@@ -13,14 +13,6 @@ Scale is controlled by environment variables:
     reviews; paper: 280 / ~25).
 ``REPRO_BENCH_QUERIES``
     queries per difficulty level (default 40; paper: 100).
-``REPRO_BENCH_INDEX_ENTITIES`` / ``REPRO_BENCH_INDEX_REVIEW_TAGS`` /
-``REPRO_BENCH_INDEX_TAGS`` / ``REPRO_BENCH_INDEX_QUERIES``
-    workload for the scalar-vs-vectorized index microbenchmark
-    (defaults 200 entities / 2000 review-tag occurrences / 500 index
-    tags / 1000 ``lookup_similar`` queries).
-``REPRO_BENCH_OUTPUT_DIR``
-    where :func:`write_bench_record` drops ``BENCH_<name>.json``
-    artifacts (default: the repository root).
 
 Each bench prints a paper-vs-measured table and asserts the *shape*
 properties documented in DESIGN.md §4.
@@ -29,10 +21,7 @@ properties documented in DESIGN.md §4.
 from __future__ import annotations
 
 import os
-from pathlib import Path
-from typing import Dict, List, Mapping, Sequence
-
-import numpy as np
+from typing import Dict, Sequence
 
 __all__ = [
     "bench_scale",
@@ -40,10 +29,8 @@ __all__ = [
     "bench_entities",
     "bench_reviews",
     "bench_queries",
-    "bench_index_workload",
     "print_table",
     "paper_reference",
-    "write_bench_record",
 ]
 
 
@@ -78,32 +65,6 @@ def bench_reviews() -> float:
 def bench_queries() -> int:
     """Queries per difficulty level."""
     return _env_int("REPRO_BENCH_QUERIES", 40)
-
-
-def bench_index_workload() -> Dict[str, int]:
-    """Workload sizes for the scalar-vs-vectorized index microbenchmark."""
-    return {
-        "entities": _env_int("REPRO_BENCH_INDEX_ENTITIES", 200),
-        "review_tags": _env_int("REPRO_BENCH_INDEX_REVIEW_TAGS", 2000),
-        "index_tags": _env_int("REPRO_BENCH_INDEX_TAGS", 500),
-        "queries": _env_int("REPRO_BENCH_INDEX_QUERIES", 1000),
-    }
-
-
-def write_bench_record(name: str, payload: Mapping[str, object]) -> Path:
-    """Persist a benchmark result as ``BENCH_<name>.json``.
-
-    Records land in the repository root (override with
-    ``REPRO_BENCH_OUTPUT_DIR``) so successive runs are diffable artifacts;
-    :func:`repro.utils.env.write_bench_record` stamps the host environment
-    and writes atomically.
-    """
-    from repro.utils import env
-
-    output = None
-    if "REPRO_BENCH_OUTPUT_DIR" not in os.environ:
-        output = Path(__file__).resolve().parent.parent / f"BENCH_{name}.json"
-    return env.write_bench_record(name, payload, output=output)
 
 
 def print_table(title: str, header: Sequence[str], rows: Sequence[Sequence[object]]) -> None:

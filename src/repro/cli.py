@@ -23,6 +23,9 @@ from typing import List, Optional
 
 import numpy as np
 
+from repro.bench import SUITES
+from repro.obs.tracing import TRACE_SAMPLE_EVERY_DEFAULT
+
 __all__ = ["main", "build_parser"]
 
 
@@ -372,191 +375,20 @@ def _cmd_top(args: argparse.Namespace) -> int:
             return 0
 
 
-def _cmd_bench_serve(args: argparse.Namespace) -> int:
-    from repro.serve.loadgen import run_load_benchmark
-    from repro.utils.env import write_bench_record
+def _cmd_bench(args: argparse.Namespace) -> int:
+    from repro.bench import evaluate, render_verdicts, write_bench_record
 
-    payload = run_load_benchmark(
-        seed=args.seed,
-        clients=tuple(args.clients),
-        requests_per_client=args.requests,
-        entities=args.entities,
-        mean_reviews=args.reviews,
-        max_batch_size=args.max_batch_size,
-        progress=print,
-    )
-    header = f"{'batching':<10}{'clients':>8}{'rps':>10}{'p50 ms':>9}{'p95 ms':>9}{'batch':>7}"
-    print(header)
-    print("-" * len(header))
-    for cell in payload["cells"]:
-        latency = cell["latency_seconds"]
-        print(
-            f"{'on' if cell['batching'] else 'off':<10}{cell['clients']:>8}"
-            f"{cell['throughput_rps']:>10.1f}{latency['p50'] * 1000:>9.2f}"
-            f"{latency['p95'] * 1000:>9.2f}{cell['batch_size']['mean']:>7.1f}"
-        )
-    summary = payload["summary"]
-    print(
-        f"speedup at {summary['peak_clients']} clients "
-        f"(batching on vs off): {summary['speedup_batching_at_peak']:.2f}x"
-    )
-    tracing = summary["tracing"]
-    print(
-        f"tracing overhead at {tracing['clients']} clients "
-        f"(1-in-{tracing['sample_every']} sampling): "
-        f"{tracing['tracing_overhead_frac'] * 100:.2f}% "
-        f"({tracing['throughput_rps_traced']:.1f} traced vs "
-        f"{tracing['throughput_rps_untraced']:.1f} untraced rps)"
-    )
-    collector = summary["collector"]
-    print(
-        f"collector overhead at {collector['clients']} clients "
-        f"({collector['interval_seconds'] * 1000:.0f}ms cadence): "
-        f"{collector['collector_overhead_frac'] * 100:.2f}% "
-        f"({collector['throughput_rps_collector_on']:.1f} on vs "
-        f"{collector['throughput_rps_collector_off']:.1f} off rps)"
-    )
-    path = write_bench_record("serve", payload, args.output)
-    print(f"wrote {path}")
-    return 0
-
-
-def _cmd_bench_extract(args: argparse.Namespace) -> int:
-    from repro.core.extraction_bench import run_extraction_benchmark
-    from repro.utils.env import write_bench_record
-
-    payload = run_extraction_benchmark(
-        seed=args.seed,
-        entities=args.entities,
-        mean_reviews=args.reviews,
-        batch_sentences=args.batch_sentences,
-        train_epochs=args.train_epochs,
-        progress=print,
-    )
-    header = f"{'variant':<20}{'ingest s':>10}{'speedup':>9}{'cache hit%':>12}"
-    print(header)
-    print("-" * len(header))
-    speedup = payload["summary"]["speedup"]
-    for name, cell in payload["variants"].items():
-        ratio = speedup.get(name)
-        cache = cell["cache"]
-        print(
-            f"{name:<20}{cell['ingest_seconds']:>10.3f}"
-            f"{(f'{ratio:.2f}x' if ratio is not None else '1.00x'):>9}"
-            f"{cache['hit_ratio'] * 100:>11.1f}%"
-        )
-    print(
-        f"bucketed over sequential: "
-        f"{speedup['bucketed']:.2f}x; warm-cache reingest: "
-        f"{speedup['warm_cache']:.2f}x at "
-        f"{payload['summary']['warm_cache_hit_ratio'] * 100:.1f}% hits"
-    )
-    encode = payload["encode"]
-    print(f"{'encode path':<20}{'seconds':>10}{'speedup':>9}{'max err':>12}{'tags':>6}")
-    tape_seconds = encode["seconds"]["tape_float64"]
-    print(f"{'tape_float64':<20}{tape_seconds:>10.3f}{'1.00x':>9}{'oracle':>12}{'=':>6}")
-    for precision in ("float64", "float32", "int8"):
-        cell_seconds = encode["seconds"][precision]
-        report = encode["equivalence"][precision]
-        print(
-            f"{'fused_' + precision:<20}{cell_seconds:>10.3f}"
-            f"{tape_seconds / cell_seconds:>8.2f}x"
-            f"{report['max_abs_error']:>12.2e}"
-            f"{'=' if report['tags_identical'] else '!':>6}"
-        )
-    path = write_bench_record("extract", payload, args.output)
-    print(f"wrote {path}")
-    return 0
-
-
-def _cmd_bench_index(args: argparse.Namespace) -> int:
-    from repro.core.bench_index import run_index_benchmark
-    from repro.utils.env import write_bench_record
-
-    payload = run_index_benchmark(
-        seed=args.seed,
-        entities=args.entities,
-        review_tags=args.review_tags,
-        index_tags=args.index_tags,
-        queries=args.queries,
-        shard_counts=tuple(args.shards),
-        availability_samples=args.availability_samples,
-        rebuild_rounds=args.rebuild_rounds,
-        progress=print,
-    )
-    speedup = payload["speedup"]
-    print(
-        f"backend: vectorized over scalar {speedup['total']:.1f}x total "
-        f"(build {speedup['build']:.1f}x, lookup {speedup['lookup']:.1f}x, "
-        f"max |delta| {payload['max_abs_delta']:.2e})"
-    )
-    shards = payload["shards"]
-    header = f"{'cell':<10}{'build s':>9}{'lookup s':>10}{'vs dense':>10}"
-    print(header)
-    print("-" * len(header))
-    dense_seconds = shards["baseline"]["lookup_seconds"]
-    print(f"{'dense':<10}{'-':>9}{dense_seconds:>10.3f}{'1.00x':>10}")
-    for name, cell in shards["cells"].items():
-        print(
-            f"{name:<10}{cell['build_seconds']:>9.3f}{cell['lookup_seconds']:>10.3f}"
-            f"{cell['lookup_speedup_vs_dense']:>9.2f}x"
-        )
-    print(f"sharded lookups byte-identical to oracle: {shards['identical_to_oracle']}")
-    snapshot = payload["snapshot"]
-    print(
-        f"snapshot: save {snapshot['save_seconds']:.2f}s, "
-        f"load {snapshot['load_seconds']:.2f}s vs cold build "
-        f"{snapshot['cold_build_seconds']:.2f}s "
-        f"({snapshot['speedup']['warm_start']:.1f}x warm start; "
-        f"rankings identical: {snapshot['rankings_identical']})"
-    )
-    availability = payload["availability"]
-    print(
-        f"availability: p99 {availability['rebuild_p99_ms']:.1f}ms during rebuild vs "
-        f"{availability['idle_p99_ms']:.1f}ms idle "
-        f"(ratio {availability['availability_ratio']:.2f}, "
-        f"generation monotonic: {availability['generation_monotonic']})"
-    )
-    path = write_bench_record("index", payload, args.output)
-    print(f"wrote {path}")
-    return 0
-
-
-def _cmd_bench_conv(args: argparse.Namespace) -> int:
-    from repro.conversation.bench import run_conv_benchmark
-    from repro.utils.env import write_bench_record
-
-    payload = run_conv_benchmark(
-        seed=args.seed,
-        entities=args.entities,
-        mean_reviews=args.reviews,
-        sessions=args.sessions,
-        turns=args.turns,
-        train_epochs=args.train_epochs,
-        progress=print,
-    )
-    routes = payload["routes"]["counts"]
-    total = payload["config"]["total_turns"]
-    print(f"{'route':<12}{'turns':>7}{'fraction':>10}")
-    print("-" * 29)
-    for route in ("subjective", "objective", "chitchat"):
-        count = routes[route]
-        print(f"{route:<12}{count:>7}{count / total * 100 if total else 0:>9.1f}%")
-    bypass = payload["bypass"]
-    coref = payload["coref"]
-    print(
-        f"extractor calls: {bypass['extractor_calls_stage_off']} -> "
-        f"{bypass['extractor_calls_stage_on']} "
-        f"({bypass['extractor_call_reduction'] * 100:.1f}% reduction, "
-        f"routed fraction {bypass['routed_fraction'] * 100:.1f}%)"
-    )
-    print(
-        f"coref: {coref['hits']} hits / {coref['misses']} misses "
-        f"({coref['resolution_rate'] * 100:.1f}% resolved); "
-        f"topic shifts: {payload['shifts']['detected']}"
-    )
-    path = write_bench_record("conv", payload, args.output)
-    print(f"wrote {path}")
+    print(f"running the {args.suite} suite ...", flush=True)
+    payload = SUITES[args.suite].run()
+    verdicts = evaluate(args.suite, payload)
+    print(render_verdicts(verdicts))
+    if any(not v.ok and not v.gate.timing for v in verdicts):
+        print("FAIL: an invariant gate failed; no record written")
+        return 1
+    print(f"wrote {write_bench_record(args.suite, payload, args.output)}")
+    if any(not v.ok for v in verdicts):
+        print("FAIL: a timing gate failed")
+        return 1
     return 0
 
 
@@ -762,7 +594,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--trace-sample",
         type=_positive_int,
-        default=32,
+        default=TRACE_SAMPLE_EVERY_DEFAULT,
         help="trace 1 of every N requests (1 = trace everything)",
     )
     serve.add_argument(
@@ -875,76 +707,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     top.set_defaults(func=_cmd_top)
 
-    bench_serve = subparsers.add_parser(
-        "bench-serve", help="closed-loop load benchmark of the serving runtime"
+    bench = subparsers.add_parser(
+        "bench", help="run a bench suite, check its gates, write BENCH_<suite>.json"
     )
-    bench_serve.add_argument("--seed", type=int, default=7)
-    bench_serve.add_argument("--clients", type=_positive_int, nargs="+", default=[1, 4, 16])
-    bench_serve.add_argument(
-        "--requests", type=_positive_int, default=60, help="requests per client"
-    )
-    bench_serve.add_argument("--entities", type=int, default=60)
-    bench_serve.add_argument("--reviews", type=float, default=10.0)
-    bench_serve.add_argument("--max-batch-size", type=_positive_int, default=16)
-    bench_serve.add_argument("--output", help="record path (default: ./BENCH_serve.json)")
-    bench_serve.set_defaults(func=_cmd_bench_serve)
-
-    bench_extract = subparsers.add_parser(
-        "bench-extract",
-        help="benchmark the batched extraction engine against sequential ingest",
-    )
-    bench_extract.add_argument("--seed", type=int, default=7)
-    bench_extract.add_argument("--entities", type=int, default=60)
-    bench_extract.add_argument("--reviews", type=float, default=10.0)
-    bench_extract.add_argument(
-        "--batch-sentences", type=_positive_int, default=128, help="sentences per length bucket"
-    )
-    bench_extract.add_argument(
-        "--train-epochs", type=int, default=2, help="tagger warm-up epochs before timing"
-    )
-    bench_extract.add_argument("--output", help="record path (default: ./BENCH_extract.json)")
-    bench_extract.set_defaults(func=_cmd_bench_extract)
-
-    bench_index = subparsers.add_parser(
-        "bench-index",
-        help="benchmark the tag index: sharding, snapshots, rebuild availability",
-    )
-    bench_index.add_argument("--seed", type=int, default=11)
-    bench_index.add_argument("--entities", type=int, default=200)
-    bench_index.add_argument(
-        "--review-tags", type=int, default=2000, help="review-tag occurrences"
-    )
-    bench_index.add_argument("--index-tags", type=_positive_int, default=500)
-    bench_index.add_argument("--queries", type=_positive_int, default=1000)
-    bench_index.add_argument(
-        "--shards", type=_positive_int, nargs="+", default=[1, 4, 8], help="shard-count cells"
-    )
-    bench_index.add_argument(
-        "--availability-samples",
-        type=int,
-        default=300,
-        help="closed-loop searches per availability phase",
-    )
-    bench_index.add_argument(
-        "--rebuild-rounds", type=int, default=3, help="background rebuilds to race"
-    )
-    bench_index.add_argument("--output", help="record path (default: ./BENCH_index.json)")
-    bench_index.set_defaults(func=_cmd_bench_index)
-
-    bench_conv = subparsers.add_parser(
-        "bench-conv",
-        help="benchmark the conversation stage: routing bypass, coref, equivalence",
-    )
-    bench_conv.add_argument("--seed", type=int, default=7)
-    bench_conv.add_argument("--entities", type=int, default=36)
-    bench_conv.add_argument("--reviews", type=float, default=8.0)
-    bench_conv.add_argument("--sessions", type=_positive_int, default=12)
-    bench_conv.add_argument("--turns", type=int, default=6, help="turns per session")
-    bench_conv.add_argument(
-        "--train-epochs", type=int, default=2, help="tagger warm-up epochs before the runs"
-    )
-    bench_conv.add_argument("--output", help="record path (default: ./BENCH_conv.json)")
-    bench_conv.set_defaults(func=_cmd_bench_conv)
+    bench.add_argument("suite", choices=sorted(SUITES))
+    bench.add_argument("--output", help="record path (default: ./BENCH_<suite>.json)")
+    bench.set_defaults(func=_cmd_bench)
 
     lint = subparsers.add_parser(
         "lint",

@@ -1,26 +1,25 @@
-"""Index benchmark (``repro bench-index``): backends, shards, snapshots.
+"""Index suite (``repro bench index``): backends, the served index, snapshots.
 
 Four sections over one seeded synthetic workload, recorded to
-``BENCH_index.json`` and guarded by ``benchmarks/check_bench.py``:
+``BENCH_index.json`` and gated by :data:`repro.bench.SUITES` ``["index"]``:
 
 * **backend** — the scalar per-pair :class:`ReferenceTagIndex` vs the
   served :class:`SubjectiveTagIndex` on index build + ``lookup_similar``
-  throughput;
-* **shards** — the index built with 1/4/8 snapshot shards against the
-  dense legacy combine (a precomputed (index_tags × vocab) similarity
+  throughput, with the largest score difference between the two;
+* **served** — the served index, laid out as 8 snapshot shards, against
+  the dense legacy combine (a precomputed (index_tags × vocab) similarity
   matrix or a fresh row, then a full ``weights @ degree_matrix`` gemv per
   query — the old serving path).  The shard count only lays out snapshot
-  files, so every cell times the same kernel: the active-tag accumulation
-  plus the score-row cache.  Every cell's result is checked byte-identical
-  to the 1-shard index before any speedup is reported.  ``check_bench``
-  floors the ``shard8`` cell at 1.5×;
+  files, so this times the lookup kernel: the active-tag accumulation plus
+  the score-row cache.  Its lookups must be byte-identical to the 1-shard
+  backend index, a gate ``repro bench`` checks before it writes a record;
 * **snapshot** — ``save_snapshot`` / ``load_snapshot`` round-trip timing
-  against the cold register+build path, with a ranking-identity witness
-  (the ``repro serve --snapshot-dir`` warm-start win);
+  of the 8-shard index against its cold register+build, with a
+  ranking-identity witness (the ``repro serve --snapshot-dir`` warm start);
 * **availability** — closed-loop searches racing a double-buffered
   ``reindex(background=True)`` through the serving runtime: p99 latency
-  during the rebuild over idle p99 (``availability_ratio``), which
-  ``check_bench`` caps at 3.0 — the zero-downtime claim, measured.
+  during the rebuild over idle p99 (``availability_ratio``) — the
+  zero-downtime claim, measured.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from __future__ import annotations
 import tempfile
 import threading
 import time
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -39,12 +38,8 @@ from repro.text import ConceptualSimilarity, restaurant_lexicon
 
 __all__ = ["run_index_benchmark"]
 
-Progress = Optional[Callable[[str], None]]
-
-
-def _say(progress: Progress, message: str) -> None:
-    if progress is not None:
-        progress(message)
+#: snapshot shard files the served index is laid out as (and round-trips).
+SERVED_SHARDS = 8
 
 
 def build_index_workload(
@@ -150,24 +145,29 @@ def _dense_legacy_lookups(
     return results, time.perf_counter() - start
 
 
-def _backend_section(sizes, corpus, tags, queries, theta_filter, progress: Progress):
+def _max_abs_delta(lookups, oracle_lookups) -> float:
+    """Largest score difference between two lookup streams (inf on a key mismatch)."""
+    delta = 0.0
+    for mine, theirs in zip(lookups, oracle_lookups):
+        if set(mine) != set(theirs):
+            return float("inf")
+        for entity_id, value in theirs.items():
+            delta = max(delta, abs(mine[entity_id] - value))
+    return delta
+
+
+def _backend_section(corpus, tags, queries, theta_filter):
     """Scalar reference vs the served index (the historical record cells)."""
-    _say(progress, "backend: timing the vectorized kernel")
     vec_index = SubjectiveTagIndex(ConceptualSimilarity(restaurant_lexicon()))
     vec_build = _build(vec_index, corpus, tags)
     vec_lookups, vec_lookup = _time_lookups(vec_index, queries, theta_filter)
-    _say(progress, "backend: timing the scalar reference (capped query slice)")
+    # the scalar reference times a capped query slice, scaled up
     scalar_queries = queries[: max(1, len(queries) // 4)]
     scale = len(queries) / len(scalar_queries)
     sca_index = ReferenceTagIndex(ConceptualSimilarity(restaurant_lexicon()))
     sca_build = _build(sca_index, corpus, tags)
     sca_lookups, sca_lookup_raw = _time_lookups(sca_index, scalar_queries, theta_filter)
     sca_lookup = sca_lookup_raw * scale
-    max_delta = 0.0
-    for vec_map, sca_map in zip(vec_lookups, sca_lookups):
-        assert set(vec_map) == set(sca_map)
-        for entity_id, value in sca_map.items():
-            max_delta = max(max_delta, abs(vec_map[entity_id] - value))
     return vec_index, vec_lookups, {
         "scalar": {
             "build_seconds": sca_build,
@@ -180,58 +180,36 @@ def _backend_section(sizes, corpus, tags, queries, theta_filter, progress: Progr
             "lookup": sca_lookup / vec_lookup,
             "total": (sca_build + sca_lookup) / (vec_build + vec_lookup),
         },
-        "max_abs_delta": max_delta,
+        "max_abs_delta": _max_abs_delta(vec_lookups, sca_lookups),
     }
 
 
-def _shard_section(
-    corpus,
-    tags,
-    queries,
-    theta_filter,
-    oracle_index: SubjectiveTagIndex,
-    oracle_lookups,
-    shard_counts: Sequence[int],
-    progress: Progress,
+def _served_section(
+    corpus, tags, queries, theta_filter, oracle_index: SubjectiveTagIndex, oracle_lookups
 ):
-    """Shard-count cells vs the dense legacy combine, identity-checked."""
-    _say(progress, "shards: timing the dense legacy combine baseline")
+    """The served index (8 snapshot shards) vs the dense legacy combine."""
     dense_lookups, dense_seconds = _dense_legacy_lookups(
         oracle_index, queries, theta_filter
     )
-    dense_delta = 0.0
-    for dense_map, oracle_map in zip(dense_lookups, oracle_lookups):
-        assert set(dense_map) == set(oracle_map)
-        for entity_id, value in oracle_map.items():
-            dense_delta = max(dense_delta, abs(dense_map[entity_id] - value))
-    cells: Dict[str, Dict[str, object]] = {}
-    identical = True
-    built_indexes: Dict[int, SubjectiveTagIndex] = {}
-    for count in shard_counts:
-        _say(progress, f"shards: building + timing {count} shard(s)")
-        index = SubjectiveTagIndex(ConceptualSimilarity(restaurant_lexicon()), num_shards=count)
-        build_seconds = _build(index, corpus, tags)
-        lookups, lookup_seconds = _time_lookups(index, queries, theta_filter)
-        identical = identical and all(
-            mine == theirs for mine, theirs in zip(lookups, oracle_lookups)
-        )
-        cells[f"shard{count}"] = {
-            "build_seconds": build_seconds,
-            "lookup_seconds": lookup_seconds,
-            "lookup_speedup_vs_dense": dense_seconds / lookup_seconds,
-        }
-        built_indexes[count] = index
-    return built_indexes, {
+    index = SubjectiveTagIndex(
+        ConceptualSimilarity(restaurant_lexicon()), num_shards=SERVED_SHARDS
+    )
+    build_seconds = _build(index, corpus, tags)
+    lookups, lookup_seconds = _time_lookups(index, queries, theta_filter)
+    return index, {
         "baseline": {
             "kind": (
                 "dense legacy combine "
                 "(similarity-matrix column or fresh row + full gemv per query)"
             ),
             "lookup_seconds": dense_seconds,
-            "max_abs_delta_vs_oracle": dense_delta,
+            "max_abs_delta_vs_oracle": _max_abs_delta(dense_lookups, oracle_lookups),
         },
-        "cells": cells,
-        "identical_to_oracle": identical,
+        "shards": SERVED_SHARDS,
+        "build_seconds": build_seconds,
+        "lookup_seconds": lookup_seconds,
+        "lookup_speedup_vs_dense": dense_seconds / lookup_seconds,
+        "identical_to_oracle": lookups == oracle_lookups,
     }
 
 
@@ -240,13 +218,11 @@ def _snapshot_section(
     cold_build_seconds: float,
     queries,
     theta_filter,
-    progress: Progress,
 ):
     """Save → load round-trip vs the cold build, with a ranking witness."""
     sample = queries[:: max(1, len(queries) // 50)]
     expected = [index.lookup_similar(q, theta_filter=theta_filter) for q in sample]
-    with tempfile.TemporaryDirectory(prefix="bench-index-snapshot-") as tmp:
-        _say(progress, f"snapshot: saving + reloading the {index.num_shards}-shard index")
+    with tempfile.TemporaryDirectory(prefix="bench-snapshot-") as tmp:
         start = time.perf_counter()
         manifest = save_snapshot(index, tmp)
         save_seconds = time.perf_counter() - start
@@ -274,25 +250,14 @@ def _availability_section(
     samples: int,
     rebuild_rounds: int,
     shards: int,
-    progress: Progress,
 ):
     """p99 search latency during a background rebuild over idle p99."""
-    from repro.core.extractor import OracleExtractor
-    from repro.core.saccs import Saccs, SaccsConfig
-    from repro.data import WorldConfig, build_world
+    from repro.bench import bench_saccs, bench_world
+    from repro.core.saccs import SaccsConfig
     from repro.serve import SaccsRuntime, ServeConfig
 
-    _say(progress, "availability: building the serving world")
-    world = build_world(
-        WorldConfig.small(seed=seed, num_entities=entities, mean_reviews=mean_reviews)
-    )
-    saccs = Saccs(
-        world.entities,
-        world.reviews,
-        OracleExtractor(),
-        ConceptualSimilarity(restaurant_lexicon()),
-        SaccsConfig(index_shards=shards),
-    )
+    world = bench_world(seed, entities, mean_reviews)
+    saccs = bench_saccs(world, config=SaccsConfig(index_shards=shards))
     dims = [SubjectiveTag.from_text(d.name) for d in world.dimensions]
     saccs.build_index(dims)
     # cache_size=0 + a multi-tag query mix with unseen variants: every
@@ -311,7 +276,6 @@ def _availability_section(
     with SaccsRuntime(saccs, config) as runtime:
         for i in range(32):  # warm-up: matrix caches
             runtime.search(queries[i % len(queries)])
-        _say(progress, f"availability: {samples} idle searches")
         for i in range(samples):
             start = time.perf_counter()
             runtime.search(queries[i % len(queries)])
@@ -328,12 +292,8 @@ def _availability_section(
             finally:
                 done.set()
 
-        _say(
-            progress,
-            f"availability: searches racing {rebuild_rounds} background rebuild(s)",
-        )
         thread = threading.Thread(
-            target=rebuild, name="bench-index-reindex", daemon=True
+            target=rebuild, name="bench-reindex", daemon=True
         )
         thread.start()
         i = 0
@@ -372,37 +332,23 @@ def run_index_benchmark(
     index_tags: int = 500,
     queries: int = 1000,
     theta_filter: float = 0.6,
-    shard_counts: Sequence[int] = (1, 4, 8),
     availability_entities: int = 120,
     availability_reviews: float = 10.0,
     availability_samples: int = 300,
     rebuild_rounds: int = 3,
-    progress: Progress = None,
 ) -> Dict[str, object]:
     """Run every section and return the ``BENCH_index.json`` payload."""
     sizes, corpus, tags, stream = build_index_workload(
         seed, entities, review_tags, index_tags, queries
     )
     oracle_index, oracle_lookups, backend = _backend_section(
-        sizes, corpus, tags, stream, theta_filter, progress
+        corpus, tags, stream, theta_filter
     )
-    built, shard_section = _shard_section(
-        corpus,
-        tags,
-        stream,
-        theta_filter,
-        oracle_index,
-        oracle_lookups,
-        shard_counts,
-        progress,
+    served_index, served = _served_section(
+        corpus, tags, stream, theta_filter, oracle_index, oracle_lookups
     )
-    snapshot_source = built[max(built)]
     snapshot = _snapshot_section(
-        snapshot_source,
-        shard_section["cells"][f"shard{max(built)}"]["build_seconds"],
-        stream,
-        theta_filter,
-        progress,
+        served_index, served["build_seconds"], stream, theta_filter
     )
     availability = _availability_section(
         seed,
@@ -411,14 +357,12 @@ def run_index_benchmark(
         availability_samples,
         rebuild_rounds,
         shards=4,
-        progress=progress,
     )
-    payload: Dict[str, object] = {
+    return {
         "workload": sizes,
         "theta_filter": theta_filter,
         **backend,
-        "shards": shard_section,
+        "served": served,
         "snapshot": snapshot,
         "availability": availability,
     }
-    return payload

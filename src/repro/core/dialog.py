@@ -59,7 +59,10 @@ class DialogSystem:
 
     def search(self, utterance: str) -> List[Entity]:
         """Parse the utterance and return objectively-filtered entities."""
-        parsed = self.recognizer.parse(utterance)
+        return self.search_parsed(self.recognizer.parse(utterance))
+
+    def search_parsed(self, parsed: ParsedUtterance) -> List[Entity]:
+        """Objectively-filtered entities for an utterance already parsed."""
         if parsed.intent != "searchRestaurant":
             return []
         return self.api.search(parsed.slots)

@@ -1,4 +1,4 @@
-"""Extraction-engine benchmark (``repro bench-extract``).
+"""Extraction suite (``repro bench extract``).
 
 Measures the end-to-end ingest pass — the offline budget of Figure 2 —
 under three extraction strategies on one seeded corpus with one trained
@@ -19,15 +19,15 @@ report of each precision against the float64 tape oracle.  Full bucketed
 ingests with the tagger's ``encoder_precision`` set to float32 and int8
 round out the tag-identity witness.
 
-Every variant's extracted tags are checked **identical** per entity/review
-before speedups are reported.  Every timed ingest runs inside one trace,
+Every variant's extracted tags are compared per entity/review with the
+sequential oracle (``equivalent``), a gate ``repro bench`` checks before
+it writes a record.  Every timed ingest runs inside one trace,
 and the record folds that trace's ``extract.*`` spans into per-stage
 ``{seconds, calls}`` (encode / decode / pair / register) so the win is
 attributable — the same spans serving traces and ``stage.*_seconds``
-histograms carry, for every variant alike.
-``benchmarks/check_bench.py`` guards the recorded speedups against
-regressions in the tier-1 flow — including a 3.0 floor on the
-``encode_speedup`` cells.
+histograms carry, for every variant alike.  The gates, including the
+3.0 floor on the ``encode_speedup`` cells, are
+:data:`repro.bench.SUITES` ``["extract"]``.
 """
 
 from __future__ import annotations
@@ -35,52 +35,14 @@ from __future__ import annotations
 import time
 from typing import Callable, Dict, List, Optional, Tuple
 
-import numpy as np
-
+from repro.bench import bench_saccs, bench_world, build_bench_extractor
 from repro.core.extraction_engine import ExtractionEngine
 from repro.core.extractor import TagExtractor
-from repro.core.heuristics import TreePairingHeuristic
 from repro.core.saccs import Saccs, SaccsConfig
 from repro.core.tags import SubjectiveTag
-from repro.data import WorldConfig, build_tagging_dataset, build_world
 from repro.obs import tracing as obs
-from repro.text import ChunkParser, ConceptualSimilarity, PosLexicon, restaurant_lexicon
-from repro.utils.env import environment_info
 
-__all__ = ["build_bench_extractor", "run_extraction_benchmark"]
-
-
-def build_bench_extractor(seed: int = 21, train_epochs: int = 2) -> TagExtractor:
-    """The neural extractor the bench drives: quick BERT + briefly trained
-    tagger + tree-heuristic pairer.
-
-    The quick pre-train plan is artifact-cached per machine; a couple of
-    training epochs give the tagger realistic span density (so the pairing
-    stage does real work) without burning bench time on model quality.
-    """
-    from repro.bert import PretrainPlan, pretrained_encoder
-    from repro.core.extractor import HeuristicPairer
-    from repro.core.tagger import SequenceTagger
-    from repro.core.training import TaggerTrainer, TaggerTrainingConfig
-
-    encoder = pretrained_encoder("restaurants", plan=PretrainPlan.quick(seed=seed))
-    tagger = SequenceTagger(encoder, np.random.default_rng(0))
-    if train_epochs > 0:
-        dataset = build_tagging_dataset("S1", scale=0.06, seed=4)
-        TaggerTrainer(tagger, TaggerTrainingConfig(epochs=train_epochs)).fit(dataset.train)
-    parser = ChunkParser(PosLexicon(restaurant_lexicon()))
-    pairer = HeuristicPairer([TreePairingHeuristic(parser, direction="opinions")])
-    return TagExtractor(tagger, pairer)
-
-
-def _make_saccs(world, extractor: TagExtractor, config: SaccsConfig) -> Saccs:
-    return Saccs(
-        world.entities,
-        world.reviews,
-        extractor,
-        ConceptualSimilarity(restaurant_lexicon()),
-        config,
-    )
+__all__ = ["run_extraction_benchmark"]
 
 
 def _sequential_ingest(saccs: Saccs) -> None:
@@ -203,18 +165,9 @@ def run_extraction_benchmark(
     mean_reviews: float = 10.0,
     batch_sentences: int = 128,
     train_epochs: int = 2,
-    progress=None,
 ) -> Dict[str, object]:
     """Run the three-variant sweep and return the ``BENCH_extract`` payload."""
-
-    def say(message: str) -> None:
-        if progress is not None:
-            progress(message)
-
-    say("building world and extractor (pre-trained encoder is cached per machine) ...")
-    world = build_world(
-        WorldConfig.small(seed=seed, num_entities=entities, mean_reviews=mean_reviews)
-    )
+    world = bench_world(seed, entities, mean_reviews)
     extractor = build_bench_extractor(train_epochs=train_epochs)
     num_reviews = sum(len(reviews) for reviews in world.reviews.values())
     num_sentences = sum(
@@ -226,14 +179,12 @@ def run_extraction_benchmark(
     # One untimed bucketed pass first: the first large-batch forward in a
     # process sometimes pays a one-time ~1 s stall (seen with multi-threaded
     # BLAS on a 2-vCPU VM), which would otherwise land on ``bucketed``.
-    say("warm-up: one untimed bucketed ingest ...")
-    _make_saccs(world, extractor, config).ingest_reviews()
+    bench_saccs(world, extractor, config).ingest_reviews()
     variants: Dict[str, Dict[str, object]] = {}
     witnesses: Dict[str, Dict[str, List[Tuple[SubjectiveTag, ...]]]] = {}
     warm_engine: Optional[ExtractionEngine] = None
     for name, ingest in ingests.items():
-        say(f"variant: {name} ...")
-        saccs = _make_saccs(world, extractor, config)
+        saccs = bench_saccs(world, extractor, config)
         seconds, stages = _traced_ingest(saccs, ingest)
         variants[name] = {
             "ingest_seconds": seconds,
@@ -244,10 +195,9 @@ def run_extraction_benchmark(
         if name == "bucketed":
             warm_engine = saccs.extraction_engine
 
-    say("variant: warm_cache (unchanged-corpus reingest) ...")
     assert warm_engine is not None
     hits_before, misses_before = warm_engine.hits, warm_engine.misses
-    warm_saccs = _make_saccs(world, extractor, config)
+    warm_saccs = bench_saccs(world, extractor, config)
     warm_saccs.extraction_engine = warm_engine  # inherit the populated cache
     seconds, stages = _traced_ingest(warm_saccs)
     warm_hits = warm_engine.hits - hits_before
@@ -273,26 +223,17 @@ def run_extraction_benchmark(
     default_precision = tagger.encoder_precision
     try:
         for precision in ("float32", "int8"):
-            say(f"variant: bucketed {precision} (fused inference) ...")
             tagger.encoder_precision = precision
-            saccs = _make_saccs(world, extractor, config)
+            saccs = bench_saccs(world, extractor, config)
             seconds, stages = _traced_ingest(saccs)
             precision_results[precision] = {"ingest_seconds": seconds, "stages": stages}
             witnesses[f"bucketed_{precision}"] = _extracted_tags(saccs)
     finally:
         tagger.encoder_precision = default_precision
 
-    say("encode stage: tape vs fused per precision ...")
     encode = _encode_benchmark(extractor, world, batch_sentences)
 
     oracle = witnesses["sequential"]
-    equivalent = all(witnesses[name] == oracle for name in witnesses)
-    if not equivalent:
-        raise AssertionError(
-            "bucketed/cached/reduced-precision extraction diverged "
-            "from the sequential oracle — refusing to write a benchmark "
-            "record for broken output"
-        )
     for precision, result in precision_results.items():
         result["tags_identical"] = witnesses[f"bucketed_{precision}"] == oracle
 
@@ -319,6 +260,5 @@ def run_extraction_benchmark(
             "speedup": speedup,
             "warm_cache_hit_ratio": variants["warm_cache"]["cache"]["hit_ratio"],
         },
-        "equivalent": equivalent,
-        "environment": environment_info(),
+        "equivalent": all(witness == oracle for witness in witnesses.values()),
     }

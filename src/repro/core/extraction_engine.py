@@ -33,7 +33,7 @@ masked all the way through BERT, the BiLSTM and the CRF), and pairing plus
 per-review dedup (:func:`~repro.core.extractor.review_tags`) run exactly the
 sequential code — so the engine's tag list per review is **identical**
 (same tags, same order) to ``TagExtractor.extract_review``.  The
-integration tests assert this on a seeded world; ``repro bench-extract``
+integration tests assert this on a seeded world; ``repro bench extract``
 re-checks it on every run.
 """
 

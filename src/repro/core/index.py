@@ -21,7 +21,7 @@ tag against the index tags (row-stationary, LRU-cached) and sums the degree
 rows of the tags that clear ``θ_filter``.
 
 :class:`ReferenceTagIndex` is the original per-pair implementation, kept as
-the reference oracle that tests and ``repro bench-index`` compare the served
+the reference oracle that tests and ``repro bench index`` compare the served
 index against (≤ 1e-9 on every score).  No configuration selects it.
 """
 
@@ -572,7 +572,7 @@ class ReferenceTagIndex(_TagIndexBase):
     """Eq. 1 and Algorithm 1 line 10 computed one (tag, review tag) pair at a time.
 
     The reference oracle for :class:`SubjectiveTagIndex`: same constructor
-    options, same query API, no matrices.  Tests and ``repro bench-index``
+    options, same query API, no matrices.  Tests and ``repro bench index``
     build both and compare every score.
     """
 

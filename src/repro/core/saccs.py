@@ -392,7 +392,7 @@ class Saccs:
                 "answer() needs a TagExtractor (the oracle extractor has no "
                 "gold labels for arbitrary utterances); use answer_tags()"
             )
-        api_ids = [entity.entity_id for entity in self.dialog.search(utterance)]
         parsed = self.dialog.recognizer.parse(utterance)
+        api_ids = [entity.entity_id for entity in self.dialog.search_parsed(parsed)]
         tags = self.extraction_engine.extract_token_lists([parsed.tokens])[0]
         return self.answer_tags(tags, api_ids)

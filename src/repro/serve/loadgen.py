@@ -1,4 +1,4 @@
-"""Closed-loop load generator for the serving runtime (``repro bench-serve``).
+"""Serve suite (``repro bench serve``): closed-loop load over the runtime.
 
 Drives an in-process :class:`~repro.serve.runtime.SaccsRuntime` with N
 client threads, each issuing its next request only after the previous one
@@ -20,52 +20,22 @@ import threading
 import time
 from typing import Dict, List, Sequence, Tuple
 
-from repro.core import OracleExtractor, Saccs, SaccsConfig, SubjectiveTag
-from repro.data import WorldConfig, build_world
+from repro.bench import bench_saccs, bench_world
+from repro.core import Saccs, SubjectiveTag
 from repro.obs.store import TraceStore
-from repro.obs.tracing import Tracer
+from repro.obs.tracing import TRACE_SAMPLE_EVERY_DEFAULT, Tracer
 from repro.serve.metrics import percentile
 from repro.serve.runtime import SaccsRuntime, ServeConfig
-from repro.text import ConceptualSimilarity, restaurant_lexicon
-from repro.utils.env import environment_info
 
-__all__ = [
-    "COLLECTOR_INTERVAL_BENCH",
-    "TRACE_SAMPLE_EVERY_DEFAULT",
-    "run_load_benchmark",
-]
+__all__ = ["COLLECTOR_INTERVAL_BENCH", "run_load_benchmark"]
 
 #: (batching?, client threads) cells, in run order.
 _DEFAULT_CLIENTS = (1, 4, 16)
-
-#: ``repro serve``'s default head-based trace sampling (1-in-N requests).
-#: The overhead cell measures tracing at this shipped configuration, and
-#: the ≤5% ceiling in benchmarks/check_bench.py holds it there.  1-in-32
-#: still records hundreds of traces per second at peak throughput — ample
-#: for /debug/profile windows — while keeping the per-request cost of the
-#: sampled traces inside the budget on fast machines (1-in-8 measured
-#: >10% once the un-batched floor passed ~12k rps).
-TRACE_SAMPLE_EVERY_DEFAULT = 32
 
 #: the collector overhead cell samples this fast — 20x the serving default
 #: cadence — so the measured ceiling bounds an operator cranking the
 #: interval down during an incident, not just the shipped 1s default.
 COLLECTOR_INTERVAL_BENCH = 0.05
-
-
-def _build_runtime_world(seed: int, entities: int, mean_reviews: float) -> Saccs:
-    world = build_world(
-        WorldConfig.small(seed=seed, num_entities=entities, mean_reviews=mean_reviews)
-    )
-    saccs = Saccs(
-        world.entities,
-        world.reviews,
-        OracleExtractor(),
-        ConceptualSimilarity(restaurant_lexicon()),
-        SaccsConfig(),
-    )
-    saccs.build_index([SubjectiveTag.from_text(d.name) for d in world.dimensions])
-    return saccs
 
 
 def _query_pool(saccs: Saccs, seed: int, pool_size: int) -> List[Tuple[SubjectiveTag, ...]]:
@@ -185,10 +155,11 @@ def run_load_benchmark(
     pool_size: int = 16,
     max_batch_size: int = 16,
     overhead_repeats: int = 3,
-    progress=None,
 ) -> Dict[str, object]:
     """Run the full sweep and return the ``BENCH_serve`` payload."""
-    saccs = _build_runtime_world(seed, entities, mean_reviews)
+    world = bench_world(seed, entities, mean_reviews)
+    saccs = bench_saccs(world)
+    saccs.build_index([SubjectiveTag.from_text(d.name) for d in world.dimensions])
     pool = _query_pool(saccs, seed, pool_size)
     # warm the index's lazy similarity columns once, so the first cell is
     # not charged for one-time state the later cells inherit.
@@ -198,11 +169,6 @@ def run_load_benchmark(
     cells: List[Dict[str, object]] = []
     for batching in (False, True):
         for client_count in clients:
-            if progress is not None:
-                progress(
-                    f"cell: batching={'on' if batching else 'off'} "
-                    f"clients={client_count} ..."
-                )
             cells.append(
                 _run_cell(
                     saccs,
@@ -236,16 +202,11 @@ def run_load_benchmark(
     # keeps its best run so one scheduler hiccup cannot fake a regression.
     # Overhead cells run 16x longer than sweep cells — the ~0.1s sweep cells
     # are fine for a >2x batching speedup but far too short to resolve a
-    # few-percent delta (thread spawn and scheduler warm-up dominate).  The ≤5% guard in benchmarks/check_bench.py reads
-    # ``tracing_overhead_frac``.
+    # few-percent delta (thread spawn and scheduler warm-up dominate).  The
+    # serve suite's ≤5% gate reads ``tracing_overhead_frac``.
     best_rps = {False: 0.0, True: 0.0}
-    for repeat in range(max(1, overhead_repeats)):
+    for _ in range(max(1, overhead_repeats)):
         for traced in (False, True):
-            if progress is not None:
-                progress(
-                    f"overhead cell: traced={'on' if traced else 'off'} "
-                    f"clients={peak} (repeat {repeat + 1}) ..."
-                )
             cell = _run_cell(
                 saccs,
                 pool,
@@ -269,16 +230,10 @@ def run_load_benchmark(
     # Collector-overhead measurement, same protocol as tracing: peak
     # batching cell with the background collector sampling at an aggressive
     # 20x-default cadence vs collector off, interleaved best-of-repeats.
-    # The ≤5% guard in benchmarks/check_bench.py reads
-    # ``collector_overhead_frac``.
+    # The serve suite's ≤5% gate reads ``collector_overhead_frac``.
     best_collector_rps = {False: 0.0, True: 0.0}
-    for repeat in range(max(1, overhead_repeats)):
+    for _ in range(max(1, overhead_repeats)):
         for collector in (False, True):
-            if progress is not None:
-                progress(
-                    f"overhead cell: collector={'on' if collector else 'off'} "
-                    f"clients={peak} (repeat {repeat + 1}) ..."
-                )
             cell = _run_cell(
                 saccs,
                 pool,
@@ -314,5 +269,4 @@ def run_load_benchmark(
         },
         "cells": cells,
         "summary": summary,
-        "environment": environment_info(),
     }

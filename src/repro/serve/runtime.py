@@ -335,7 +335,7 @@ class SaccsRuntime:
                 # the dialog shim, so they stay outside the facade lock.
                 with obs.span("serve.parse"):
                     parsed = self.saccs.dialog.recognizer.parse(utterance)
-                    api_entities = self.saccs.dialog.search(utterance)
+                    api_entities = self.saccs.dialog.search_parsed(parsed)
                     api_ids = tuple(entity.entity_id for entity in api_entities)
                 with obs.span("conv.classify") as sp:
                     route = parsed.route

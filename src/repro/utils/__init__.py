@@ -5,7 +5,6 @@ every other subpackage can import them without cycles.
 """
 
 from repro.utils.caching import ArtifactCache, default_cache, fingerprint, memoize
-from repro.utils.env import environment_info, write_bench_record
 from repro.utils.locks import (
     LockWitness,
     TrackedLock,
@@ -35,7 +34,6 @@ __all__ = [
     "default_cache",
     "derive_rng",
     "derive_seed",
-    "environment_info",
     "fingerprint",
     "log_softmax",
     "logsumexp",
@@ -50,5 +48,4 @@ __all__ = [
     "stable_log",
     "witness",
     "witness_enabled",
-    "write_bench_record",
 ]

@@ -104,7 +104,7 @@ class TestEngineEquivalence:
         ]
 
     def test_sequential_ingest_is_attributed_by_extract_spans(self, world, extractor):
-        # bench-extract's sequential baseline: the extract_review loop
+        # the extract suite's sequential baseline: the extract_review loop
         from repro.core.extraction_bench import _sequential_ingest
 
         saccs = Saccs(
@@ -133,6 +133,7 @@ class TestOneExtractionPath:
             extractor.tagger.encoder, np.random.default_rng(0), encoder_precision="float32"
         )
         tagger.load_state_dict(extractor.tagger.state_dict())
+        tagger.eval()  # built only to serve: train mode would re-export every call
         saccs = Saccs(
             world.entities,
             world.reviews,
@@ -168,6 +169,24 @@ class TestOneExtractionPath:
             assert forwards(
                 lambda: runtime.search_utterance("cheap drinks and tasty pizza")
             ) == {"float32"}
+
+    def test_a_repeated_utterance_exports_once_and_hits_the_cache(
+        self, float32_saccs, monkeypatch
+    ):
+        exports = []
+        from_tagger = InferenceModel.from_tagger.__func__
+
+        def counting(cls, tagger, precision="float64"):
+            exports.append(precision)
+            return from_tagger(cls, tagger, precision)
+
+        monkeypatch.setattr(InferenceModel, "from_tagger", classmethod(counting))
+        engine = float32_saccs.extraction_engine
+        hits = engine.hits
+        answers = [float32_saccs.answer("somewhere with delicious food") for _ in range(3)]
+        assert exports == []  # the model exported at ingest serves every call
+        assert engine.hits - hits == 2
+        assert answers[0] == answers[1] == answers[2]
 
     def test_say_waits_on_a_held_tagger_lock(self, float32_saccs):
         session = ConversationSession(float32_saccs, stage=None)
@@ -341,38 +360,3 @@ class TestOneTextCache:
         assert forwards == [1]
         assert turns[0].added_tags == turns[1].added_tags
         assert turns[0].results == turns[1].results
-
-
-@pytest.mark.slow
-class TestBenchExtractSmoke:
-    """End-to-end smoke for ``repro bench-extract`` on a tiny corpus."""
-
-    def test_benchmark_runs_and_record_is_well_formed(self, tmp_path):
-        from repro.core.extraction_bench import run_extraction_benchmark
-        from repro.utils.env import write_bench_record
-
-        payload = run_extraction_benchmark(
-            seed=3,
-            entities=6,
-            mean_reviews=3.0,
-            batch_sentences=16,
-            train_epochs=1,
-        )
-        # The internal witness check already raised if any variant diverged.
-        assert payload["equivalent"] is True
-        assert set(payload["variants"]) == {"sequential", "bucketed", "warm_cache"}
-        for variant in payload["variants"].values():
-            assert variant["ingest_seconds"] > 0.0
-        stages = payload["variants"]["bucketed"]["stages"]
-        assert {"encode", "decode", "pair", "register"} <= set(stages)
-        # the sequential loop is attributed by the tagger's own spans too
-        assert {"encode", "decode", "register"} <= set(payload["variants"]["sequential"]["stages"])
-        assert payload["summary"]["warm_cache_hit_ratio"] == pytest.approx(1.0)
-        assert set(payload["summary"]["speedup"]) == {"bucketed", "warm_cache"}
-
-        path = write_bench_record("extract", payload, output=str(tmp_path / "BENCH_extract.json"))
-        import json
-
-        on_disk = json.loads(path.read_text())
-        assert on_disk["workload"]["entities"] == 6
-        assert on_disk["equivalent"] is True

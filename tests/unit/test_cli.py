@@ -28,12 +28,12 @@ class TestParser:
         assert args.world is None
 
     def test_bench_serve_knobs(self):
-        args = build_parser().parse_args(
-            ["bench-serve", "--seed", "3", "--clients", "1", "4", "--requests", "10"]
-        )
-        assert args.seed == 3
-        assert args.clients == [1, 4]
-        assert args.requests == 10
+        args = build_parser().parse_args(["bench", "serve", "--output", "r.json"])
+        assert (args.suite, args.output) == ("serve", "r.json")
+        assert build_parser().parse_args(["bench", "index"]).output is None
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["bench", "serve", "--clients", "4"])
+        assert excinfo.value.code == 2
 
     def test_lint_defaults(self):
         args = build_parser().parse_args(["lint"])
@@ -47,7 +47,7 @@ class TestParser:
         assert args.paths == ["src", "tests"]
         assert args.format == "json"
 
-    @pytest.mark.parametrize("command", [["serve"], ["bench-index"]])
+    @pytest.mark.parametrize("command", [["serve"]])
     @pytest.mark.parametrize("value", ["0", "-2", "two"])
     def test_shards_must_be_a_positive_int(self, command, value, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -60,8 +60,6 @@ class TestParser:
         "command, flag",
         [
             (["serve"], "--max-batch-size"),
-            (["bench-serve"], "--max-batch-size"),
-            (["bench-extract"], "--batch-sentences"),
         ],
     )
     @pytest.mark.parametrize("value", ["0", "-2", "two"])
@@ -78,31 +76,15 @@ class TestParser:
         [
             (["serve"], "--workers"),
             (["serve"], "--max-wait-ms"),
-            (["bench-serve"], "--workers"),
-            (["bench-serve"], "--max-wait-ms"),
-            (["bench-extract"], "--workers"),
+            (["bench", "serve"], "--workers"),
+            (["bench", "serve"], "--max-wait-ms"),
+            (["bench", "extract"], "--workers"),
         ],
     )
     def test_scheduler_pool_flags_are_gone(self, command, flag):
         with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args([*command, flag, "2"])
         assert excinfo.value.code == 2
-
-    @pytest.mark.parametrize(
-        "command, flag",
-        [
-            (["bench-serve"], "--clients"),
-            (["bench-serve"], "--requests"),
-            (["bench-index"], "--queries"),
-            (["bench-index"], "--index-tags"),
-            (["bench-conv"], "--sessions"),
-        ],
-    )
-    def test_bench_counts_reject_zero(self, command, flag, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            build_parser().parse_args([*command, flag, "0"])
-        assert excinfo.value.code == 2
-        assert flag in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "command, flag, bad, good",
@@ -132,9 +114,6 @@ class TestParser:
         assert flag in capsys.readouterr().err
         args = build_parser().parse_args([*command, flag, good])
         assert getattr(args, flag[2:].replace("-", "_")) == float(good)
-
-    def test_bench_conv_keeps_zero_train_epochs(self):
-        assert build_parser().parse_args(["bench-conv", "--train-epochs", "0"]).train_epochs == 0
 
     def test_serve_encoder_precision_flag_is_gone(self):
         # the tagger's own encoder_precision is the one precision setting

@@ -271,3 +271,59 @@ class TestConfigValidation:
         engine = ExtractionEngine(OracleExtractor())
         with pytest.raises(TypeError):
             engine.extract_token_lists([["hello"]])
+
+
+class TestParseOnce:
+    """``Saccs.answer`` and ``search_utterance`` parse each utterance once."""
+
+    UTTERANCE = "i want a restaurant in montreal with delicious food and friendly staff"
+
+    @pytest.fixture()
+    def saccs(self):
+        from repro.core.saccs import Saccs
+        from repro.data import WorldConfig, build_world
+        from repro.text import ConceptualSimilarity, restaurant_lexicon
+
+        world = build_world(WorldConfig.small(seed=3, num_entities=10, mean_reviews=3))
+        saccs = Saccs(
+            world.entities,
+            world.reviews,
+            fake_extractor(),
+            ConceptualSimilarity(restaurant_lexicon()),
+        )
+        saccs.build_index([SubjectiveTag.from_text(d.name) for d in world.dimensions])
+        return saccs
+
+    @staticmethod
+    def _count_parses(saccs, monkeypatch):
+        calls = []
+        parse = saccs.dialog.recognizer.parse
+        monkeypatch.setattr(
+            saccs.dialog.recognizer, "parse", lambda text: calls.append(text) or parse(text)
+        )
+        return calls
+
+    @staticmethod
+    def _two_parse_answer(saccs, utterance):
+        """The answer a parse for the API probe plus one for the tags gives."""
+        api_ids = [entity.entity_id for entity in saccs.dialog.search(utterance)]
+        tokens = saccs.dialog.recognizer.parse(utterance).tokens
+        tags = saccs.extraction_engine.extract_token_lists([tokens])[0]
+        assert tags and api_ids
+        return saccs.answer_tags(tags, api_ids)
+
+    def test_answer_parses_once(self, saccs, monkeypatch):
+        expected = self._two_parse_answer(saccs, self.UTTERANCE)
+        calls = self._count_parses(saccs, monkeypatch)
+        assert saccs.answer(self.UTTERANCE) == expected
+        assert calls == [self.UTTERANCE]
+
+    def test_search_utterance_parses_once(self, saccs, monkeypatch):
+        from repro.serve import SaccsRuntime, ServeConfig
+
+        expected = self._two_parse_answer(saccs, self.UTTERANCE)
+        calls = self._count_parses(saccs, monkeypatch)
+        with SaccsRuntime(saccs, ServeConfig(cache_size=0)) as runtime:
+            response = runtime.search_utterance(self.UTTERANCE)
+        assert list(response.results) == expected
+        assert calls == [self.UTTERANCE]

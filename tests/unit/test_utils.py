@@ -1,10 +1,12 @@
-"""Unit tests for repro.utils: rng trees, caching, numerics, bench records."""
+"""Unit tests for repro.utils (rng trees, caching, numerics) and the bench
+record writer."""
 
 import json
 
 import numpy as np
 import pytest
 
+from repro.bench import write_bench_record
 from repro.nn import Linear, load_module, save_module
 from repro.utils import (
     ArtifactCache,
@@ -17,7 +19,6 @@ from repro.utils import (
     sigmoid,
     softmax,
     stable_log,
-    write_bench_record,
 )
 
 
